@@ -33,12 +33,11 @@ Row run(bool use_ear, mapred::EncodingLocality locality, int slots,
   pc.replication = nodes_per_rack == 1 ? 2 : 3;
   auto policy = use_ear ? make_encoding_aware_replication(topo, pc, 3)
                         : make_random_replication(topo, pc, 3);
-  BlockId next = 0;
-  while (static_cast<int>(policy->sealed_stripes().size()) < stripes) {
-    policy->place_block(next++, std::nullopt);
+  std::vector<StripeInfo> list;
+  for (BlockId next = 0; static_cast<int>(list.size()) < stripes; ++next) {
+    BlockPlacement p = policy->place_block(next, std::nullopt);
+    if (p.sealed) list.push_back(std::move(*p.sealed));
   }
-  auto list = policy->sealed_stripes();
-  list.resize(static_cast<size_t>(stripes));
 
   mapred::EncodingJobConfig cfg;
   cfg.map_slots_per_node = slots;

@@ -216,15 +216,16 @@ PolicyReliability policy_reliability(bool use_ear, const Topology& topo,
                                      const failure::ReliabilityConfig& rcfg) {
   auto policy = use_ear ? make_encoding_aware_replication(topo, pcfg, seed)
                         : make_random_replication(topo, pcfg, seed);
-  BlockId next = 0;
-  while (static_cast<int>(policy->sealed_stripes().size()) < stripes) {
-    policy->place_block(next++, std::nullopt);
+  std::vector<StripeInfo> sealed;
+  for (BlockId next = 0; static_cast<int>(sealed.size()) < stripes; ++next) {
+    BlockPlacement p = policy->place_block(next, std::nullopt);
+    if (p.sealed) sealed.push_back(std::move(*p.sealed));
   }
   PolicyReliability out;
   out.pre = failure::estimate_reliability(
-      topo, failure::replicated_placements(*policy), rcfg);
+      topo, failure::replicated_placements(sealed), rcfg);
   out.post = failure::estimate_reliability(
-      topo, failure::encoded_placements(*policy), rcfg);
+      topo, failure::encoded_placements(*policy, sealed), rcfg);
   return out;
 }
 

@@ -50,15 +50,16 @@ int main(int argc, char** argv) {
     cfg.c = c;
     cfg.target_racks = c == 1 ? 0 : (14 + c - 1) / c;
     EncodingAwareReplication policy(topo, cfg, 77);
-    BlockId next = 0;
-    while (static_cast<int>(policy.sealed_stripes().size()) < stripes) {
-      policy.place_block(next++, std::nullopt);
+    std::vector<StripeInfo> sealed;
+    for (BlockId next = 0; static_cast<int>(sealed.size()) < stripes; ++next) {
+      BlockPlacement p = policy.place_block(next, std::nullopt);
+      if (p.sealed) sealed.push_back(std::move(*p.sealed));
     }
 
     double cross_total = 0;
     int repairs = 0;
-    for (const StripeId id : policy.sealed_stripes()) {
-      const EncodePlan plan = policy.plan_encoding(id);
+    for (const StripeInfo& stripe : sealed) {
+      const EncodePlan plan = policy.plan_encoding(stripe);
       std::vector<NodeId> nodes = plan.kept;
       nodes.insert(nodes.end(), plan.parity.begin(), plan.parity.end());
 

@@ -83,11 +83,10 @@ BENCHMARK(BM_RrPlaceBlock);
 void BM_EarPlanEncoding(benchmark::State& state) {
   const Topology topo(20, 20);
   EncodingAwareReplication policy(topo, b2_placement(10), 10);
-  BlockId next = 0;
-  std::vector<StripeId> sealed;
-  while (sealed.size() < 4096) {
-    policy.place_block(next++, std::nullopt);
-    sealed = policy.sealed_stripes();
+  std::vector<StripeInfo> sealed;
+  for (BlockId next = 0; sealed.size() < 4096; ++next) {
+    BlockPlacement p = policy.place_block(next, std::nullopt);
+    if (p.sealed) sealed.push_back(std::move(*p.sealed));
   }
   size_t i = 0;
   for (auto _ : state) {

@@ -29,16 +29,14 @@ int main(int argc, char** argv) {
   EncodingAwareReplication ear_policy(topo, cfg, 99);
 
   // Measure iterations per stripe position.  place_block returns the draw
-  // count; the position inside the stripe is the stripe's size after the
-  // block joined.
+  // count and the block's position inside its stripe.
   std::vector<double> sum(static_cast<size_t>(k), 0.0);
   std::vector<double> max_seen(static_cast<size_t>(k), 0.0);
   std::vector<int64_t> count(static_cast<size_t>(k), 0);
-  BlockId next = 0;
-  while (static_cast<int>(ear_policy.sealed_stripes().size()) < stripes) {
-    const BlockPlacement p = ear_policy.place_block(next++, std::nullopt);
-    const int pos =
-        static_cast<int>(ear_policy.stripe(p.stripe).blocks.size()) - 1;
+  for (BlockId next = 0, sealed = 0; sealed < stripes; ++next) {
+    const BlockPlacement p = ear_policy.place_block(next, std::nullopt);
+    if (p.sealed) ++sealed;
+    const int pos = p.position;
     sum[static_cast<size_t>(pos)] += p.iterations;
     max_seen[static_cast<size_t>(pos)] =
         std::max(max_seen[static_cast<size_t>(pos)],

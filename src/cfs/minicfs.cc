@@ -172,7 +172,6 @@ BlockId MiniCfs::write_block(std::span<const uint8_t> data,
   TransferScope in_flight(*this);
 
   BlockPlacement placement;
-  int position = 0;
   {
     // The id draw stays inside policy_mu_ so the id order matches the
     // stripe-assembly order for a given client schedule (the determinism
@@ -180,9 +179,8 @@ BlockId MiniCfs::write_block(std::span<const uint8_t> data,
     std::lock_guard<std::mutex> lock(policy_mu_);
     const BlockId id = next_block_id_.fetch_add(1, std::memory_order_relaxed);
     placement = policy_->place_block(id, writer);
-    position =
-        static_cast<int>(policy_->stripe(placement.stripe).blocks.size()) - 1;
   }
+  const BlockId id = placement.block;
 
   // Replication pipeline: hop h streams the block from replica h to h+1.
   // Hops overlap (HDFS streams 64 KB packets down the chain), so they run
@@ -201,13 +199,11 @@ BlockId MiniCfs::write_block(std::span<const uint8_t> data,
   // One physical copy off the caller's buffer; every replica shares it.
   const datapath::BlockBuffer bytes = datapath::BlockBuffer::copy_of(data);
   for (const NodeId n : replicas) {
-    store(n, placement.block, bytes);
+    store(n, id, bytes);
   }
-  ns_.commit_new_block(placement.block,
-                       std::vector<NodeId>(replicas.begin(), replicas.end()),
-                       placement.stripe, position);
+  ns_.commit_new_block(std::move(placement));
   ctr_blocks_written_->add();
-  return placement.block;
+  return id;
 }
 
 // ------------------------------------------------------------- read path
@@ -430,8 +426,7 @@ datapath::BlockBuffer MiniCfs::degraded_read(BlockId block, NodeId reader) {
 // -------------------------------------------------------------- encoding
 
 std::vector<StripeId> MiniCfs::sealed_stripes() const {
-  std::lock_guard<std::mutex> lock(policy_mu_);
-  return policy_->sealed_stripes();
+  return ns_.sealed_stripes();
 }
 
 void MiniCfs::encode_stripe(StripeId stripe,
@@ -441,21 +436,16 @@ void MiniCfs::encode_stripe(StripeId stripe,
   qos::OpScope op(qos::TrafficClass::kBackgroundEncode);
   const int64_t encode_begin_us = obs::now_us();
   TransferScope in_flight(*this);
-  if (ns_.stripe_encoded(stripe)) {
-    throw std::runtime_error("stripe already encoded");
-  }
+  const std::optional<StripeMeta> meta = ns_.find_stripe(stripe);
+  if (!meta) throw std::runtime_error("unknown stripe");
+  if (meta->encoded) throw std::runtime_error("stripe already encoded");
+  if (!meta->sealed()) throw std::runtime_error("stripe not sealed");
+  const StripeInfo& info = *meta->placement;
+  const std::vector<BlockId>& data_blocks = info.blocks;
   EncodePlan plan;
-  std::vector<BlockId> data_blocks;
-  std::vector<std::vector<NodeId>> replica_sets;
   {
     std::lock_guard<std::mutex> lock(policy_mu_);
-    const StripeInfo& info = policy_->stripe(stripe);
-    if (!info.sealed(config_.placement.code.k)) {
-      throw std::runtime_error("stripe not sealed");
-    }
-    plan = policy_->plan_encoding(stripe);
-    data_blocks = info.blocks;
-    replica_sets = info.replicas;
+    plan = policy_->plan_encoding(info);
   }
   if (encoder_override) plan.encoder = *encoder_override;
 
@@ -471,7 +461,7 @@ void MiniCfs::encode_stripe(StripeId stripe,
   std::vector<datapath::BlockBuffer> data_bufs;
   data_bufs.reserve(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
-    const NodeId src = pick_source(replica_sets[static_cast<size_t>(i)],
+    const NodeId src = pick_source(info.replicas[static_cast<size_t>(i)],
                                    plan.encoder, /*count=*/true);
     if (src == kInvalidNode) {
       throw std::runtime_error("no live replica for encoding download");

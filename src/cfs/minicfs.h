@@ -17,6 +17,7 @@
 // bottleneck in real time.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -52,7 +53,7 @@ struct CfsConfig {
   // adds local-group repair; kClay / kHitchhiker are sub-packetized vector
   // codes whose single-block repairs fetch sub-block ranges of the helpers
   // instead of k full blocks.  block_size must be divisible by the
-  // family's sub-packetization alpha (serialized since EARCKPT6).
+  // family's sub-packetization alpha (serialized in checkpoints).
   erasure::CodecFamily codec_family = erasure::CodecFamily::kRS;
   uint64_t seed = 1;
   // NameNode lock striping (cfs/namespace.h).  1 reproduces the old
@@ -95,6 +96,9 @@ struct CfsConfig {
 struct ClusterImage {
   CfsConfig config;
   BlockId next_block_id = 0;
+  StripeId next_inline_stripe_id = -1;
+  std::array<uint64_t, 4> rng{};  // MiniCfs's source / repair-target RNG
+  PolicyState policy;  // stripes under assembly, next stripe id, policy RNG
   std::map<BlockId, std::vector<NodeId>> locations;
   std::map<StripeId, StripeMeta> stripes;
   std::map<BlockId, std::pair<StripeId, int>> block_positions;
@@ -102,6 +106,11 @@ struct ClusterImage {
   // stores (BlockBuffer contents are immutable), so exporting an image
   // copies metadata only, never block bytes.
   std::vector<std::map<BlockId, datapath::BlockBuffer>> node_blocks;
+
+  // Checks every id, position, count and size against the configuration
+  // before a cluster is built from the image; throws std::runtime_error
+  // naming the first field out of range.  from_image calls it.
+  void validate() const;
 };
 
 class MiniCfs {
@@ -115,7 +124,6 @@ class MiniCfs {
   const Topology& topology() const { return topo_; }
   const CfsConfig& config() const { return config_; }
   Transport& transport() { return *transport_; }
-  PlacementPolicy& policy() { return *policy_; }
 
   // Swaps the transport.  Used by benches to pre-load data instantly (the
   // paper's stripes were written long before the measured window) and then
@@ -167,6 +175,8 @@ class MiniCfs {
   datapath::BlockBuffer read_block(BlockId block, NodeId reader);
 
   // ---- encoding (the RaidNode path uses these) ----------------------------
+  // Every sealed stripe, encoded or not, in seal order.  A stripe seals once
+  // all k of its data blocks have committed.
   std::vector<StripeId> sealed_stripes() const;
 
   // Encodes one sealed stripe: the calling thread plays the map task.
@@ -343,9 +353,10 @@ class MiniCfs {
   std::unique_ptr<datapath::BlockCache> cache_;
   std::unique_ptr<erasure::ErasureCodec> codec_;
 
-  // The NameNode namespace: lock-striped block locations, stripe metadata,
+  // The NameNode namespace: lock-striped block locations, stripe metadata
+  // (including the placement of every sealed stripe awaiting encoding),
   // and block->stripe positions (cfs/namespace.h).  The placement policy
-  // keeps its own stripe-assembly state and is guarded separately by
+  // keeps only the stripes still being assembled and its RNG, guarded by
   // policy_mu_; nothing acquires a namespace shard while holding policy_mu_
   // or vice versa.
   NamespaceShards ns_;

@@ -124,29 +124,45 @@ bool NamespaceShards::stripe_encoded(StripeId stripe) const {
   return it != shard.stripes.end() && it->second.encoded;
 }
 
+std::vector<StripeId> NamespaceShards::sealed_stripes() const {
+  std::vector<std::pair<int64_t, StripeId>> order;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [id, meta] : shard->stripes) {
+      if (meta.sealed()) order.emplace_back(meta.seal_seq, id);
+    }
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<StripeId> out;
+  out.reserve(order.size());
+  for (const auto& [seq, id] : order) out.push_back(id);
+  return out;
+}
+
 // ---------------------------------------------------- multi-shard commits
 
-void NamespaceShards::commit_new_block(BlockId block,
-                                       std::vector<NodeId> replicas,
-                                       StripeId stripe, int position) {
+void NamespaceShards::commit_new_block(BlockPlacement placement) {
+  const BlockId block = placement.block;
+  const StripeId stripe = placement.stripe;
+  const auto position = static_cast<size_t>(placement.position);
   const auto locks = lock_shards({block_shard(block), stripe_shard(stripe)});
-  Shard& ss = *shards_[stripe_shard(stripe)];
-  StripeMeta& meta = ss.stripes[stripe];
+  StripeMeta& meta = shards_[stripe_shard(stripe)]->stripes[stripe];
   meta.id = stripe;
   // Slot by position, not append order: replication pipelines of one
   // stripe's writers may finish (and commit) out of placement order.
-  if (static_cast<int>(meta.data_blocks.size()) <= position) {
-    meta.data_blocks.resize(static_cast<size_t>(position) + 1, kInvalidBlock);
+  if (meta.data_blocks.size() <= position) {
+    meta.data_blocks.resize(position + 1, kInvalidBlock);
   }
-  meta.data_blocks[static_cast<size_t>(position)] = block;
+  meta.data_blocks[position] = block;
+  if (placement.sealed) meta.placement = std::move(placement.sealed);
   Shard& bs = *shards_[block_shard(block)];
-  bs.block_pos[block] = {stripe, position};
-  // A background encode of this stripe may already have committed (the
-  // stripe seals at placement time, before this replica commit): the encode
-  // retired replicas and registered the surviving one, so the replica set
-  // must not clobber it.
-  if (!meta.encoded) {
-    bs.locations[block] = std::move(replicas);
+  bs.block_pos[block] = {stripe, placement.position};
+  bs.locations[block] = std::move(placement.replicas);
+  if (meta.placement &&
+      meta.data_blocks.size() == meta.placement->blocks.size() &&
+      std::find(meta.data_blocks.begin(), meta.data_blocks.end(),
+                kInvalidBlock) == meta.data_blocks.end()) {
+    meta.seal_seq = next_seal_seq_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -160,20 +176,10 @@ void NamespaceShards::commit_encoded_stripe(
   const auto locks = lock_shards(std::move(indices));
 
   const int k = static_cast<int>(data_blocks.size());
-  StripeMeta& meta = shards_[stripe_shard(stripe)]->stripes[stripe];
-  meta.id = stripe;
-  // Fill the data slots here too: the stripe seals at placement time, so an
-  // encode can commit before the last writer's own commit lands — after this
-  // commit the stripe row is complete regardless of writer commit order.
-  if (static_cast<int>(meta.data_blocks.size()) < k) {
-    meta.data_blocks.resize(static_cast<size_t>(k), kInvalidBlock);
-  }
+  StripeMeta& meta = shards_[stripe_shard(stripe)]->stripes.at(stripe);
   for (int i = 0; i < k; ++i) {
     const BlockId b = data_blocks[static_cast<size_t>(i)];
-    meta.data_blocks[static_cast<size_t>(i)] = b;
-    Shard& bs = *shards_[block_shard(b)];
-    bs.locations[b] = {kept[static_cast<size_t>(i)]};
-    bs.block_pos[b] = {stripe, i};
+    shards_[block_shard(b)]->locations[b] = {kept[static_cast<size_t>(i)]};
   }
   for (size_t j = 0; j < parity_blocks.size(); ++j) {
     const BlockId b = parity_blocks[j];
@@ -183,6 +189,7 @@ void NamespaceShards::commit_encoded_stripe(
   }
   meta.parity_blocks = parity_blocks;
   meta.encoded = true;
+  meta.placement.reset();
 }
 
 void NamespaceShards::commit_inline_stripe(StripeId stripe,
@@ -275,9 +282,12 @@ void NamespaceShards::import_maps(
   for (auto& [block, pos] : positions) {
     shards_[block_shard(block)]->block_pos[block] = pos;
   }
+  int64_t next_seal_seq = 0;
   for (auto& [stripe, meta] : stripes) {
+    next_seal_seq = std::max(next_seal_seq, meta.seal_seq + 1);
     shards_[stripe_shard(stripe)]->stripes[stripe] = std::move(meta);
   }
+  next_seal_seq_.store(next_seal_seq, std::memory_order_relaxed);
 }
 
 }  // namespace ear::cfs

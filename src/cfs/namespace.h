@@ -24,6 +24,7 @@
 // a shard mutex is held.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,12 +38,24 @@
 
 namespace ear::cfs {
 
-// Per-stripe metadata kept by the NameNode after encoding.
+// Per-stripe metadata kept by the NameNode: the single owner of a stripe
+// from its first block commit until it is encoded and beyond.
 struct StripeMeta {
   StripeId id = kInvalidStripe;
   std::vector<BlockId> data_blocks;    // indexed by stripe position 0..k-1
   std::vector<BlockId> parity_blocks;  // size n - k (empty until encoded)
   bool encoded = false;
+  // The stripe's placement (replica sets, core rack, target racks), handed
+  // over by the block that completed it in the placement policy.  Kept
+  // while the stripe awaits encoding; commit_encoded_stripe clears it.
+  std::optional<StripeInfo> placement;
+  // Seal order: assigned once all k data blocks have committed and the
+  // placement is known; -1 while the stripe assembles and for write-path
+  // (inline) stripes, which never await encoding.
+  int64_t seal_seq = -1;
+
+  bool sealed() const { return seal_seq >= 0; }
+  bool operator==(const StripeMeta&) const = default;
 };
 
 // Point-in-time view of one block's metadata (see snapshot()).
@@ -87,19 +100,23 @@ class NamespaceShards {
   // ---- stripe point ops (one shard lock) --------------------------------
   std::optional<StripeMeta> find_stripe(StripeId stripe) const;
   bool stripe_encoded(StripeId stripe) const;
+  // Every sealed stripe (encoded or not), in seal order.
+  std::vector<StripeId> sealed_stripes() const;
 
   // ---- multi-shard commits (atomic w.r.t. snapshot()) -------------------
   // Registers a freshly written block: its replica locations, its stripe
-  // position, and its slot in the stripe's data_blocks.  data_blocks is
-  // indexed by position (not append order): concurrent writers of one
-  // stripe may commit out of placement order, and degraded reads decode by
-  // position.
-  void commit_new_block(BlockId block, std::vector<NodeId> replicas,
-                        StripeId stripe, int position);
+  // position, its slot in the stripe's data_blocks, and — from the block
+  // that completed the stripe in the policy — the stripe's placement.
+  // data_blocks is indexed by position (not append order): concurrent
+  // writers of one stripe may commit out of placement order, and degraded
+  // reads decode by position.  The stripe seals with the commit that fills
+  // its last slot, so no encode can start before every writer committed.
+  void commit_new_block(BlockPlacement placement);
 
-  // Commits a finished background encode: each data block's surviving
-  // replica, the m new parity blocks (locations + stripe positions k..n-1),
-  // and the stripe's encoded flag — in one atomic step.
+  // Commits a finished background encode of a sealed stripe: each data
+  // block's surviving replica, the m new parity blocks (locations + stripe
+  // positions k..n-1), and the stripe's encoded flag — in one atomic step.
+  // The stripe's pending placement is dropped.
   void commit_encoded_stripe(StripeId stripe,
                              const std::vector<BlockId>& data_blocks,
                              const std::vector<NodeId>& kept,
@@ -117,7 +134,8 @@ class NamespaceShards {
 
   // Raw-map export/import for checkpointing (cfs/checkpoint.h).  export
   // uses the same epoch discipline as snapshot(); import distributes the
-  // maps over the shards (callers quiesce mutators first).
+  // maps over the shards and resumes the seal order after the highest
+  // imported one (callers quiesce mutators first).
   void export_maps(
       std::map<BlockId, std::vector<NodeId>>* locations,
       std::map<StripeId, StripeMeta>* stripes,
@@ -143,6 +161,7 @@ class NamespaceShards {
       std::vector<size_t> indices) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<int64_t> next_seal_seq_{0};
 };
 
 }  // namespace ear::cfs

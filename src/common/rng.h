@@ -8,6 +8,7 @@
 // smaller state, and its output is identical across standard libraries.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cmath>
 #include <cassert>
@@ -44,6 +45,14 @@ class Rng {
   void reseed(uint64_t seed) {
     SplitMix64 sm(seed);
     for (auto& s : s_) s = sm.next();
+  }
+
+  // Raw xoshiro256** state, to checkpoint a generator mid-stream.  The
+  // cached second normal() variate is not part of it: set_state drops it.
+  std::array<uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
+  void set_state(const std::array<uint64_t, 4>& s) {
+    std::copy(s.begin(), s.end(), s_);
+    have_spare_ = false;
   }
 
   static constexpr result_type min() { return 0; }

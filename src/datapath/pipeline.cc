@@ -47,9 +47,14 @@ void StagedPipeline::run(int chunks, const std::function<void(int)>& fetch,
                          const std::function<void(int)>& compute,
                          const std::function<void(int)>& upload) {
   if (chunks <= 1) {
-    // One-shot path: no stage threads, no handoff.
+    // One-shot path: no stage threads, no handoff.  The compute span is
+    // still recorded, so traces attribute GF time on unchunked runs too.
     fetch(0);
-    compute(0);
+    {
+      obs::Span span("datapath.compute", "datapath");
+      span.arg("chunks", chunks);
+      compute(0);
+    }
     if (upload) upload(0);
     return;
   }

@@ -36,7 +36,8 @@
 
 namespace ear::erasure {
 
-// Serialized in EARCKPT6 checkpoints and SimConfig — values are stable.
+// Serialized in checkpoints (cfs/checkpoint.h) and SimConfig — values are
+// stable.
 enum class CodecFamily : uint8_t {
   kRS = 0,
   kLRC = 1,

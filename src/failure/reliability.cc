@@ -182,10 +182,9 @@ ReliabilityResult estimate_reliability(
 // ------------------------------------------------------ placement builders
 
 std::vector<StripePlacement> replicated_placements(
-    const PlacementPolicy& policy) {
+    const std::vector<StripeInfo>& stripes) {
   std::vector<StripePlacement> out;
-  for (const StripeId id : policy.sealed_stripes()) {
-    const StripeInfo& info = policy.stripe(id);
+  for (const StripeInfo& info : stripes) {
     StripePlacement sp;
     sp.blocks = info.replicas;
     sp.max_lost_blocks = 0;
@@ -194,10 +193,11 @@ std::vector<StripePlacement> replicated_placements(
   return out;
 }
 
-std::vector<StripePlacement> encoded_placements(PlacementPolicy& policy) {
+std::vector<StripePlacement> encoded_placements(
+    PlacementPolicy& policy, const std::vector<StripeInfo>& stripes) {
   std::vector<StripePlacement> out;
-  for (const StripeId id : policy.sealed_stripes()) {
-    const EncodePlan plan = policy.plan_encoding(id);
+  for (const StripeInfo& stripe : stripes) {
+    const EncodePlan plan = policy.plan_encoding(stripe);
     StripePlacement sp;
     for (const NodeId n : plan.kept) sp.blocks.push_back({n});
     for (const NodeId n : plan.parity) sp.blocks.push_back({n});

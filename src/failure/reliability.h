@@ -60,15 +60,17 @@ ReliabilityResult estimate_reliability(
 
 // ---- placement extraction -------------------------------------------------
 
-// Pre-encoding exposure of every sealed stripe: each block guarded by its r
-// replicas, stripe lost if any block loses all of them.
+// Pre-encoding exposure of sealed stripes (as handed out by
+// BlockPlacement::sealed): each block guarded by its r replicas, stripe lost
+// if any block loses all of them.
 std::vector<StripePlacement> replicated_placements(
-    const PlacementPolicy& policy);
+    const std::vector<StripeInfo>& stripes);
 
 // Post-encoding exposure: plan_encoding() per sealed stripe (single copies
-// of k data + m parity blocks, m losses tolerable).  Non-const: planning
-// advances the policy's RNG.
-std::vector<StripePlacement> encoded_placements(PlacementPolicy& policy);
+// of k data + m parity blocks, m losses tolerable).  Planning advances the
+// policy's RNG.
+std::vector<StripePlacement> encoded_placements(
+    PlacementPolicy& policy, const std::vector<StripeInfo>& stripes);
 
 // Exposure of a live cluster as-is (mixed encoded/unencoded), from a
 // NameNode snapshot.

@@ -15,18 +15,18 @@ EncodingJob::EncodingJob(sim::Engine& engine, sim::Network& network,
                      config.map_slots_per_node);
 }
 
-void EncodingJob::submit(const std::vector<StripeId>& stripes) {
+void EncodingJob::submit(const std::vector<StripeInfo>& stripes) {
   started_ = engine_->now();
   report_.stripes = static_cast<int>(stripes.size());
-  for (const StripeId id : stripes) {
-    pending_.push_back(Task{id, policy_->plan_encoding(id)});
+  for (const StripeInfo& stripe : stripes) {
+    pending_.push_back(Task{stripe, policy_->plan_encoding(stripe)});
   }
   try_dispatch();
 }
 
 NodeId EncodingJob::choose_node(const Task& task) {
   const Topology& topo = policy_->topology();
-  const StripeInfo& stripe = policy_->stripe(task.stripe);
+  const StripeInfo& stripe = task.stripe;
 
   const auto free_in_rack = [&](RackId rack) -> NodeId {
     for (const NodeId n : topo.nodes_in_rack(rack)) {
@@ -93,7 +93,7 @@ void EncodingJob::try_dispatch() {
 
 void EncodingJob::run_task(Task task, NodeId node) {
   const Topology& topo = policy_->topology();
-  const StripeInfo& stripe = policy_->stripe(task.stripe);
+  const StripeInfo& stripe = task.stripe;
   if (stripe.core_rack != kInvalidRack &&
       topo.rack_of(node) == stripe.core_rack) {
     ++report_.tasks_in_core_rack;

@@ -47,13 +47,13 @@ class EncodingJob {
 
   // Queues all stripes at the current simulated time; run the engine to
   // completion, then read report().
-  void submit(const std::vector<StripeId>& stripes);
+  void submit(const std::vector<StripeInfo>& stripes);
 
   const EncodingJobReport& report() const { return report_; }
 
  private:
   struct Task {
-    StripeId stripe;
+    StripeInfo stripe;
     EncodePlan plan;
   };
 

@@ -97,7 +97,7 @@ int ear_stripe_max_flow(const Topology& topo, int c,
 
 EncodingAwareReplication::EncodingAwareReplication(
     const Topology& topo, const PlacementConfig& config, uint64_t seed)
-    : topo_(&topo), config_(config), rng_(seed) {
+    : PlacementPolicy(topo, config, seed) {
   const int n = config.code.n;
   const int c = config.c;
   if (c < 1) throw std::invalid_argument("EAR: c must be >= 1");
@@ -120,33 +120,29 @@ EncodingAwareReplication::EncodingAwareReplication(
   }
 }
 
-StripeId EncodingAwareReplication::open_stripe_for_core_rack(
+StripeInfo& EncodingAwareReplication::open_stripe_for_core_rack(
     RackId core_rack) {
-  const auto it = open_stripes_.find(core_rack);
-  if (it != open_stripes_.end()) return it->second;
+  const auto it = open_.find(core_rack);
+  if (it != open_.end()) return it->second;
 
   StripeInfo info;
   info.id = next_stripe_id_++;
   info.core_rack = core_rack;
-  const StripeId id = info.id;
-  stripes_.emplace(id, std::move(info));
-  open_stripes_.emplace(core_rack, id);
 
   // §III-D: pick R' target racks for the stripe, always including the core
   // rack, uniformly at random otherwise.
-  std::vector<RackId> targets;
   if (config_.target_racks > 0) {
-    targets.push_back(core_rack);
+    info.target_racks.push_back(core_rack);
     std::vector<RackId> others;
     for (RackId r = 0; r < topo_->rack_count(); ++r) {
       if (r != core_rack) others.push_back(r);
     }
     rng_.shuffle(others);
     others.resize(static_cast<size_t>(config_.target_racks - 1));
-    targets.insert(targets.end(), others.begin(), others.end());
+    info.target_racks.insert(info.target_racks.end(), others.begin(),
+                             others.end());
   }
-  target_racks_.emplace(id, std::move(targets));
-  return id;
+  return open_.emplace(core_rack, std::move(info)).first->second;
 }
 
 BlockPlacement EncodingAwareReplication::place_block(
@@ -156,16 +152,14 @@ BlockPlacement EncodingAwareReplication::place_block(
   // replica will become the core rack that includes the data block."
   NodeId first = writer.value_or(random_node(*topo_, rng_));
   const RackId core_rack = topo_->rack_of(first);
-  const StripeId stripe_id = open_stripe_for_core_rack(core_rack);
-  StripeInfo& s = stripes_.at(stripe_id);
-  const std::vector<RackId>& targets = target_racks_.at(stripe_id);
+  StripeInfo& s = open_stripe_for_core_rack(core_rack);
+  const std::vector<RackId>& targets = s.target_racks;
 
   // §III-C: draw the remaining replicas randomly, re-drawing until the flow
   // graph admits a full matching.  After kUniformRetries uniform draws,
   // direct the secondary rack at each eligible rack in turn.
   BlockPlacement placement;
   placement.block = block;
-  placement.stripe = stripe_id;
 
   std::vector<RackId> directed_racks;  // lazily built fallback order
   int attempt = 0;
@@ -231,35 +225,18 @@ BlockPlacement EncodingAwareReplication::place_block(
   total_iterations_ += attempt;
   ++total_blocks_;
 
-  if (s.sealed(config_.code.k)) {
-    sealed_.push_back(stripe_id);
-    open_stripes_.erase(core_rack);
-  }
+  finish_placement(core_rack, placement);
   return placement;
 }
 
-std::vector<StripeId> EncodingAwareReplication::sealed_stripes() const {
-  return sealed_;
-}
-
-const StripeInfo& EncodingAwareReplication::stripe(StripeId id) const {
-  return stripes_.at(id);
-}
-
-const std::vector<RackId>& EncodingAwareReplication::stripe_target_racks(
-    StripeId id) const {
-  return target_racks_.at(id);
-}
-
-EncodePlan EncodingAwareReplication::plan_encoding(StripeId id) {
-  const StripeInfo& s = stripes_.at(id);
-  assert(s.sealed(config_.code.k));
+EncodePlan EncodingAwareReplication::plan_encoding(const StripeInfo& s) {
+  require_sealed(s);
   const int k = config_.code.k;
   const int m = config_.code.m();
-  const std::vector<RackId>& targets = target_racks_.at(id);
+  const std::vector<RackId>& targets = s.target_racks;
 
   EncodePlan plan;
-  plan.stripe = id;
+  plan.stripe = s.id;
   // The encoder runs inside the core rack (§III-A); all k first replicas
   // live there, so no data block crosses racks.
   plan.encoder = random_node_in_rack(*topo_, s.core_rack, rng_);
@@ -268,11 +245,13 @@ EncodePlan EncodingAwareReplication::plan_encoding(StripeId id) {
   assert(plan.cross_rack_downloads == 0);
 
   // Kept replicas come from the maximum matching (§III-B).  The placement
-  // loop guaranteed the matching exists.
-  const int flow =
-      ear_stripe_max_flow(*topo_, config_.c, s.replicas, targets, &plan.kept);
-  (void)flow;
-  assert(flow == k);
+  // loop guaranteed the matching exists for stripes it assembled; a stripe
+  // handed in from elsewhere (a checkpoint) may not have one.
+  if (ear_stripe_max_flow(*topo_, config_.c, s.replicas, targets,
+                          &plan.kept) != k) {
+    throw std::runtime_error("EAR: stripe " + std::to_string(s.id) +
+                             " has no feasible kept-replica matching");
+  }
 
   std::vector<int> rack_load(static_cast<size_t>(topo_->rack_count()), 0);
   std::vector<bool> node_used(static_cast<size_t>(topo_->node_count()), false);

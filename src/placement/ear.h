@@ -16,9 +16,6 @@
 // recovery traffic.
 #pragma once
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "placement/policy.h"
 
 namespace ear {
@@ -29,21 +26,10 @@ class EncodingAwareReplication final : public PlacementPolicy {
                            uint64_t seed);
 
   std::string name() const override { return "EAR"; }
-  const PlacementConfig& config() const override { return config_; }
-  const Topology& topology() const override { return *topo_; }
 
   BlockPlacement place_block(BlockId block,
                              std::optional<NodeId> writer) override;
-  std::vector<StripeId> sealed_stripes() const override;
-  const StripeInfo& stripe(StripeId id) const override;
-  EncodePlan plan_encoding(StripeId id) override;
-
-  void reserve_stripe_ids(StripeId first_free) override {
-    next_stripe_id_ = std::max(next_stripe_id_, first_free);
-  }
-
-  // Target racks of a stripe (empty when config.target_racks == 0).
-  const std::vector<RackId>& stripe_target_racks(StripeId id) const;
+  EncodePlan plan_encoding(const StripeInfo& stripe) override;
 
   // Total replica-layout draws across all place_block calls (Theorem 1
   // measurements).
@@ -51,17 +37,8 @@ class EncodingAwareReplication final : public PlacementPolicy {
   int64_t total_blocks_placed() const { return total_blocks_; }
 
  private:
-  StripeId open_stripe_for_core_rack(RackId core_rack);
+  StripeInfo& open_stripe_for_core_rack(RackId core_rack);
 
-  const Topology* topo_;
-  PlacementConfig config_;
-  Rng rng_;
-
-  std::unordered_map<StripeId, StripeInfo> stripes_;
-  std::unordered_map<StripeId, std::vector<RackId>> target_racks_;
-  std::unordered_map<RackId, StripeId> open_stripes_;  // core rack -> stripe
-  StripeId next_stripe_id_ = 0;
-  std::vector<StripeId> sealed_;
   int64_t total_iterations_ = 0;
   int64_t total_blocks_ = 0;
 };

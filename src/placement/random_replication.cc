@@ -10,7 +10,7 @@ namespace ear {
 RandomReplication::RandomReplication(const Topology& topo,
                                      const PlacementConfig& config,
                                      uint64_t seed)
-    : topo_(&topo), config_(config), rng_(seed) {
+    : PlacementPolicy(topo, config, seed) {
   assert(topo.rack_count() >= 2);
   assert(config.replication >= 1);
 }
@@ -27,39 +27,25 @@ BlockPlacement RandomReplication::place_block(BlockId block,
   placement.iterations = 1;
 
   // Stripe assembly: arrival order, k blocks per stripe.
-  if (open_stripe_ == kInvalidStripe) {
+  auto it = open_.find(kInvalidRack);
+  if (it == open_.end()) {
     StripeInfo info;
     info.id = next_stripe_id_++;
-    open_stripe_ = info.id;
-    stripes_.emplace(info.id, std::move(info));
+    it = open_.emplace(kInvalidRack, std::move(info)).first;
   }
-  StripeInfo& s = stripes_.at(open_stripe_);
-  s.blocks.push_back(block);
-  s.replicas.push_back(placement.replicas);
-  placement.stripe = s.id;
-  if (s.sealed(config_.code.k)) {
-    sealed_.push_back(s.id);
-    open_stripe_ = kInvalidStripe;
-  }
+  it->second.blocks.push_back(block);
+  it->second.replicas.push_back(placement.replicas);
+  finish_placement(kInvalidRack, placement);
   return placement;
 }
 
-std::vector<StripeId> RandomReplication::sealed_stripes() const {
-  return sealed_;
-}
-
-const StripeInfo& RandomReplication::stripe(StripeId id) const {
-  return stripes_.at(id);
-}
-
-EncodePlan RandomReplication::plan_encoding(StripeId id) {
-  const StripeInfo& s = stripes_.at(id);
-  assert(s.sealed(config_.code.k));
+EncodePlan RandomReplication::plan_encoding(const StripeInfo& s) {
+  require_sealed(s);
   const int k = config_.code.k;
   const int m = config_.code.m();
 
   EncodePlan plan;
-  plan.stripe = id;
+  plan.stripe = s.id;
   // §II-A: "The CFS randomly selects a node to perform the encoding
   // operation for a stripe."
   plan.encoder = random_node(*topo_, rng_);

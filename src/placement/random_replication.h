@@ -8,9 +8,6 @@
 // what causes RR's cross-rack downloads and post-encoding relocations.
 #pragma once
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "placement/policy.h"
 
 namespace ear {
@@ -21,28 +18,10 @@ class RandomReplication final : public PlacementPolicy {
                     uint64_t seed);
 
   std::string name() const override { return "RR"; }
-  const PlacementConfig& config() const override { return config_; }
-  const Topology& topology() const override { return *topo_; }
 
   BlockPlacement place_block(BlockId block,
                              std::optional<NodeId> writer) override;
-  std::vector<StripeId> sealed_stripes() const override;
-  const StripeInfo& stripe(StripeId id) const override;
-  EncodePlan plan_encoding(StripeId id) override;
-
-  void reserve_stripe_ids(StripeId first_free) override {
-    next_stripe_id_ = std::max(next_stripe_id_, first_free);
-  }
-
- private:
-  const Topology* topo_;
-  PlacementConfig config_;
-  Rng rng_;
-
-  std::unordered_map<StripeId, StripeInfo> stripes_;
-  StripeId open_stripe_ = kInvalidStripe;  // stripe currently accumulating
-  StripeId next_stripe_id_ = 0;
-  std::vector<StripeId> sealed_;
+  EncodePlan plan_encoding(const StripeInfo& stripe) override;
 };
 
 }  // namespace ear

@@ -50,25 +50,35 @@ struct PlacementConfig {
   int target_racks = 0;
 };
 
-// Where the r replicas of one block were put.  replicas[0] is the "first"
-// replica (the core-rack copy under EAR).
-struct BlockPlacement {
-  BlockId block = kInvalidBlock;
-  StripeId stripe = kInvalidStripe;
-  std::vector<NodeId> replicas;
-  // Number of layout re-draws EAR needed for this block (Theorem 1); always
-  // 1 for RR.
-  int iterations = 1;
-};
-
 // Assembled stripe state before encoding.
 struct StripeInfo {
   StripeId id = kInvalidStripe;
   RackId core_rack = kInvalidRack;  // kInvalidRack for RR
   std::vector<BlockId> blocks;      // size <= k
   std::vector<std::vector<NodeId>> replicas;  // parallel to blocks
+  // EAR §III-D: the R' racks that must hold every block of the stripe after
+  // encoding, core rack first.  Empty when config.target_racks == 0 (all
+  // racks eligible) and under RR.
+  std::vector<RackId> target_racks;
 
   bool sealed(int k) const { return static_cast<int>(blocks.size()) == k; }
+  bool operator==(const StripeInfo&) const = default;
+};
+
+// Where the r replicas of one block were put.  replicas[0] is the "first"
+// replica (the core-rack copy under EAR).
+struct BlockPlacement {
+  BlockId block = kInvalidBlock;
+  StripeId stripe = kInvalidStripe;
+  int position = -1;  // index of the block in its stripe, 0..k-1
+  std::vector<NodeId> replicas;
+  // Number of layout re-draws EAR needed for this block (Theorem 1); always
+  // 1 for RR.
+  int iterations = 1;
+  // Set on the block that completes its stripe: the finished stripe, which
+  // the policy hands over here and then forgets.  From then on the caller
+  // owns it (MiniCfs keeps it in the namespace until the stripe is encoded).
+  std::optional<StripeInfo> sealed;
 };
 
 // Complete plan for encoding one sealed stripe (§II-A's three-step encoding

@@ -51,15 +51,14 @@ SimResult ClusterSim::run() {
   // the simulated window; their write traffic is not part of the run).
   const int target_stripes =
       config_.encode_processes * config_.stripes_per_process;
-  while (static_cast<int>(policy_->sealed_stripes().size()) < target_stripes) {
+  while (static_cast<int>(stripes_.size()) < target_stripes) {
     const NodeId writer = random_node(topo_, rng_);
-    policy_->place_block(next_block_id_++, writer);
+    BlockPlacement placement = policy_->place_block(next_block_id_++, writer);
+    if (placement.sealed) stripes_.push_back(std::move(*placement.sealed));
   }
-  stripes_ = policy_->sealed_stripes();
-  stripes_.resize(static_cast<size_t>(target_stripes));
   plans_.reserve(stripes_.size());
-  for (const StripeId id : stripes_) {
-    plans_.push_back(policy_->plan_encoding(id));
+  for (const StripeInfo& stripe : stripes_) {
+    plans_.push_back(policy_->plan_encoding(stripe));
   }
 
   // ---- Traffic generators.
@@ -193,7 +192,7 @@ void ClusterSim::start_stripe(EncodeProcess& proc) {
   proc.phase = EncodeProcess::Phase::kDownload;
   proc.phase_start = engine_.now();
 
-  const StripeInfo& stripe = policy_->stripe(stripes_[proc.stripe_index]);
+  const StripeInfo& stripe = stripes_[proc.stripe_index];
   const EncodePlan& plan = plans_[proc.stripe_index];
 
   // Step (i): download one replica of each of the k data blocks, preferring
@@ -367,7 +366,7 @@ void ClusterSim::start_stripe_pipelined(EncodeProcess& proc,
         obs::sim_complete("sim.encode.download", "sim.encode",
                           st->download_begin, engine_.now(),
                           encode_track(proc.id),
-                          {{"stripe", stripes_[proc.stripe_index]}});
+                          {{"stripe", stripes_[proc.stripe_index].id}});
       }
       st->maybe_compute();
     };
@@ -435,7 +434,7 @@ void ClusterSim::finish_stripe(EncodeProcess& proc) {
 
   if (proc.phase == EncodeProcess::Phase::kDownload) {
     if (obs::trace_enabled()) {
-      const int64_t stripe = stripes_[proc.stripe_index];
+      const int64_t stripe = stripes_[proc.stripe_index].id;
       obs::sim_complete("sim.encode.download", "sim.encode", proc.phase_start,
                         engine_.now(), encode_track(proc.id),
                         {{"stripe", stripe}});
@@ -472,7 +471,7 @@ void ClusterSim::finish_stripe(EncodeProcess& proc) {
   if (proc.phase == EncodeProcess::Phase::kUpload && obs::trace_enabled()) {
     obs::sim_complete("sim.encode.upload", "sim.encode", proc.phase_start,
                       engine_.now(), encode_track(proc.id),
-                      {{"stripe", stripes_[proc.stripe_index]}});
+                      {{"stripe", stripes_[proc.stripe_index].id}});
   }
 
   if (proc.phase == EncodeProcess::Phase::kUpload &&
@@ -507,7 +506,7 @@ void ClusterSim::finish_stripe(EncodeProcess& proc) {
   if (proc.phase == EncodeProcess::Phase::kRelocate && obs::trace_enabled()) {
     obs::sim_complete("sim.encode.relocate", "sim.encode", proc.phase_start,
                       engine_.now(), encode_track(proc.id),
-                      {{"stripe", stripes_[proc.stripe_index]}});
+                      {{"stripe", stripes_[proc.stripe_index].id}});
   }
 
   // Step (iii): replica deletion is metadata-only.  Record completion.

@@ -155,7 +155,7 @@ class ClusterSim {
   std::unique_ptr<PlacementPolicy> policy_;
   Rng rng_;
 
-  std::vector<StripeId> stripes_;          // stripes to encode
+  std::vector<StripeInfo> stripes_;        // stripes to encode
   std::vector<EncodePlan> plans_;          // parallel to stripes_
   std::vector<std::unique_ptr<EncodeProcess>> processes_;
   size_t next_stripe_index_ = 0;

@@ -36,7 +36,7 @@
 namespace ear::store {
 
 // Which implementation a DataNode store uses (CfsConfig::store_backend,
-// serialized in checkpoints since EARCKPT4).
+// serialized in checkpoints, cfs/checkpoint.h).
 enum class StoreBackend {
   kMem = 0,   // RAM-resident map; a restart loses every block
   kMmap = 1,  // mmap-backed segment files; a restart replays the directory

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace ear::cfs {
@@ -78,12 +80,9 @@ TEST(Checkpoint, RestoredClusterSurvivesFailures) {
   const auto image = save_checkpoint(*original);
   auto restored = load_checkpoint(image, instant(cfg));
 
+  ASSERT_EQ(restored->sealed_stripes(), original->sealed_stripes());
   // Degraded read through decoding must work on the restored cluster.
-  const StripeId stripe = restored->sealed_stripes().empty()
-                              ? original->sealed_stripes()[0]
-                              : restored->sealed_stripes()[0];
-  (void)stripe;
-  const auto meta = original->stripe_meta(original->sealed_stripes()[0]);
+  const auto meta = restored->stripe_meta(restored->sealed_stripes()[0]);
   const BlockId victim = meta.data_blocks[0];
   restored->kill_node(restored->block_locations(victim)[0]);
   NodeId reader = 0;
@@ -129,79 +128,27 @@ TEST(Checkpoint, RejectsGarbage) {
                std::runtime_error);
 }
 
-// Down-converts a freshly saved (v6) image to an older format version by
-// deleting the fields that version lacks and patching the magic digit.
-// Layout: 8-byte magic, 13 fixed i64 config fields, the v3 read-path pair
-// (cache_bytes, read_fanout_lanes), the v4 store triple (backend,
-// length-prefixed dir, segment bytes), the v5 ecdag_enable i64, then the
-// v6 codec pair (codec_family, alpha).
-constexpr size_t kV3Offset = 8 + 13 * 8;
-constexpr size_t kV4Offset = kV3Offset + 2 * 8;
-
-size_t v5_offset(const std::vector<uint8_t>& image) {
-  uint64_t dir_len = 0;
-  for (int i = 0; i < 8; ++i) {
-    dir_len |= static_cast<uint64_t>(image[kV4Offset + 8 +
-                                           static_cast<size_t>(i)])
-               << (8 * i);
+// Recomputes the CRC trailer after a test edited the image body, so the
+// reader gets past the checksum and reaches the field under test.
+std::vector<uint8_t> reseal(std::vector<uint8_t> image) {
+  const size_t covered = image.size() - 4;
+  const uint32_t crc = crc32(image.data(), covered);
+  for (size_t i = 0; i < 4; ++i) {
+    image[covered + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
-  return kV4Offset + 3 * 8 + static_cast<size_t>(dir_len);
-}
-
-std::vector<uint8_t> downconvert(std::vector<uint8_t> image, int version) {
-  const size_t kV5Offset = v5_offset(image);
-  const size_t kV6Offset = kV5Offset + 8;
-  const auto v6_begin = image.begin() + static_cast<ptrdiff_t>(kV6Offset);
-  image.erase(v6_begin, v6_begin + 2 * 8);
-  if (version <= 4) {
-    const auto v5_begin = image.begin() + static_cast<ptrdiff_t>(kV5Offset);
-    image.erase(v5_begin, v5_begin + 8);
-  }
-  if (version <= 3) {
-    const uint64_t dir_len =
-        static_cast<uint64_t>(kV5Offset - (kV4Offset + 3 * 8));
-    const auto v4_begin = image.begin() + static_cast<ptrdiff_t>(kV4Offset);
-    image.erase(v4_begin,
-                v4_begin + static_cast<ptrdiff_t>(3 * 8 + dir_len));
-  }
-  if (version == 2) {
-    const auto v3_begin = image.begin() + static_cast<ptrdiff_t>(kV3Offset);
-    image.erase(v3_begin, v3_begin + 2 * 8);
-  }
-  image[7] = static_cast<uint8_t>('0' + version);
   return image;
 }
 
-TEST(Checkpoint, LoadsVersion3WithStoreDefaults) {
-  const auto cfg = ck_config();
-  auto original = make_cfs(cfg);
-  Rng rng(5);
-  const auto contents = populate(*original, rng);
-
-  const auto v3 = downconvert(save_checkpoint(*original), 3);
-  auto restored = load_checkpoint(v3, instant(cfg));
-  EXPECT_EQ(restored->config().store_backend, store::StoreBackend::kMem);
-  EXPECT_EQ(restored->config().store_dir, "");
-  EXPECT_EQ(restored->config().store_segment_bytes, 256_MB);
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
+// Offset of the serialized sub-packetization alpha: 8-byte magic, 15 fixed
+// i64 config fields, the length-prefixed store dir, the segment size, the
+// ecdag flag and the codec family.
+size_t alpha_offset(const std::vector<uint8_t>& image) {
+  constexpr size_t kDirOffset = 8 + 16 * 8;
+  uint64_t dir_len = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    dir_len |= static_cast<uint64_t>(image[kDirOffset + i]) << (8 * i);
   }
-}
-
-TEST(Checkpoint, LoadsVersion2WithReadPathAndStoreDefaults) {
-  const auto cfg = ck_config();
-  auto original = make_cfs(cfg);
-  Rng rng(6);
-  const auto contents = populate(*original, rng);
-
-  const auto v2 = downconvert(save_checkpoint(*original), 2);
-  auto restored = load_checkpoint(v2, instant(cfg));
-  EXPECT_EQ(restored->config().cache_bytes, 0);
-  EXPECT_EQ(restored->config().read_fanout_lanes, 0);
-  EXPECT_EQ(restored->config().store_backend, store::StoreBackend::kMem);
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
-  }
+  return kDirOffset + 8 + static_cast<size_t>(dir_len) + 3 * 8;
 }
 
 TEST(Checkpoint, RejectsVersionsOutsideSupportedRange) {
@@ -211,34 +158,18 @@ TEST(Checkpoint, RejectsVersionsOutsideSupportedRange) {
   populate(*original, rng);
   auto image = save_checkpoint(*original);
 
-  // A too-old and a too-new digit must both fail loudly, naming the range,
-  // even though the rest of the stream is intact.
-  for (const char digit : {'1', '7'}) {
+  // An older and a newer digit must both fail loudly, naming the one
+  // supported version, even though the rest of the stream is intact.
+  for (const char digit : {'6', '8'}) {
     auto bad = image;
     bad[7] = static_cast<uint8_t>(digit);
     try {
-      load_checkpoint(bad, instant(cfg));
+      load_checkpoint(reseal(bad), instant(cfg));
       FAIL() << "version '" << digit << "' must be rejected";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("supported: 2..6"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("supported: 7"), std::string::npos)
           << e.what();
     }
-  }
-}
-
-TEST(Checkpoint, LoadsVersion4WithEcdagDefault) {
-  const auto cfg = ck_config();
-  auto original = make_cfs(cfg);
-  Rng rng(9);
-  const auto contents = populate(*original, rng);
-
-  const auto v4 = downconvert(save_checkpoint(*original), 4);
-  auto restored = load_checkpoint(v4, instant(cfg));
-  EXPECT_FALSE(restored->config().ecdag_enable)
-      << "pre-ecdag checkpoints must restore to the legacy data path";
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
   }
 }
 
@@ -251,22 +182,6 @@ TEST(Checkpoint, RoundTripPreservesEcdagFlag) {
 
   auto restored = load_checkpoint(save_checkpoint(*original), instant(cfg));
   EXPECT_TRUE(restored->config().ecdag_enable);
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
-  }
-}
-
-TEST(Checkpoint, LoadsVersion5WithCodecDefault) {
-  const auto cfg = ck_config();
-  auto original = make_cfs(cfg);
-  Rng rng(11);
-  const auto contents = populate(*original, rng);
-
-  const auto v5 = downconvert(save_checkpoint(*original), 5);
-  auto restored = load_checkpoint(v5, instant(cfg));
-  EXPECT_EQ(restored->config().codec_family, erasure::CodecFamily::kRS)
-      << "pre-codec checkpoints must restore to scalar Reed-Solomon";
-  EXPECT_EQ(restored->codec().alpha(), 1);
   for (const auto& [id, data] : contents) {
     EXPECT_EQ(restored->read_block(id, 0), data);
   }
@@ -294,12 +209,11 @@ TEST(Checkpoint, RejectsSubPacketizationMismatch) {
   populate(*original, rng);
   auto image = save_checkpoint(*original);
 
-  // Corrupt the serialized alpha (second v6 field): the reader must refuse
-  // to mis-slice the block layout.
-  const size_t alpha_offset = v5_offset(image) + 2 * 8;
-  image[alpha_offset] = 99;
+  // Corrupt the serialized alpha: the reader must refuse to mis-slice the
+  // block layout.
+  image[alpha_offset(image)] = 99;
   try {
-    load_checkpoint(image, instant(cfg));
+    load_checkpoint(reseal(image), instant(cfg));
     FAIL() << "alpha mismatch must be rejected";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("sub-packetization mismatch"),
@@ -332,6 +246,310 @@ TEST(Checkpoint, RoundTripPreservesStoreConfig) {
   }
   restored.reset();
   std::filesystem::remove_all(cfg.store_dir);
+}
+
+// ------------------------------------------------- restore continues work
+
+// Restore property: a write / convert / fail / repair schedule restored from
+// a checkpoint after every step ends byte-identical to the same schedule run
+// without restores.  A restore revives every node, so the reference run
+// calls revive_all() at the same steps.
+enum class Op { kWrite, kEncode, kKillNode, kKillRack };
+
+struct Step {
+  Op op;
+  int arg;
+};
+
+CfsConfig property_config(bool use_ear) {
+  CfsConfig cfg;
+  cfg.racks = 8;
+  cfg.nodes_per_rack = 3;
+  cfg.placement.code = CodeParams{6, 4};
+  cfg.placement.replication = 3;
+  cfg.use_ear = use_ear;
+  cfg.block_size = 1_KB;
+  cfg.seed = 77;
+  return cfg;
+}
+
+void run_step(MiniCfs& cfs, const Step& step, int& written) {
+  switch (step.op) {
+    case Op::kWrite:
+      for (int i = 0; i < step.arg; ++i, ++written) {
+        Rng payload(static_cast<uint64_t>(written) + 1);
+        std::vector<uint8_t> block(
+            static_cast<size_t>(cfs.config().block_size));
+        for (auto& b : block) b = static_cast<uint8_t>(payload.uniform(256));
+        std::optional<NodeId> writer;
+        if (written % 3 != 0) {
+          writer = (written * 7) % cfs.topology().node_count();
+        }
+        cfs.write_block(block, writer);
+      }
+      break;
+    case Op::kEncode:
+      for (const StripeId s : cfs.sealed_stripes()) {
+        if (!cfs.is_encoded(s)) {
+          cfs.encode_stripe(s);
+          break;
+        }
+      }
+      break;
+    case Op::kKillNode:
+      cfs.kill_node(step.arg);
+      cfs.restore_redundancy();
+      break;
+    case Op::kKillRack:
+      cfs.kill_rack(step.arg);
+      cfs.restore_redundancy();
+      break;
+  }
+}
+
+std::unique_ptr<MiniCfs> run_schedule(bool use_ear, bool restore_each_step) {
+  const std::vector<Step> schedule = {
+      {Op::kWrite, 5},    {Op::kEncode, 0},   {Op::kWrite, 9},
+      {Op::kEncode, 0},   {Op::kKillNode, 3}, {Op::kWrite, 6},
+      {Op::kEncode, 0},   {Op::kKillRack, 2}, {Op::kWrite, 11},
+      {Op::kEncode, 0},   {Op::kEncode, 0},   {Op::kKillNode, 17},
+      {Op::kWrite, 4},    {Op::kKillRack, 5}, {Op::kEncode, 0},
+  };
+  const CfsConfig cfg = property_config(use_ear);
+  auto cfs = make_cfs(cfg);
+  int written = 0;
+  for (const Step& step : schedule) {
+    run_step(*cfs, step, written);
+    if (restore_each_step) {
+      cfs = load_checkpoint(save_checkpoint(*cfs), instant(cfg));
+    } else {
+      cfs->revive_all();
+    }
+  }
+  // Drain: convert every stripe still replicated.
+  for (const StripeId s : cfs->sealed_stripes()) {
+    if (!cfs->is_encoded(s)) cfs->encode_stripe(s);
+  }
+  return cfs;
+}
+
+void expect_restores_match_uninterrupted_run(bool use_ear) {
+  const auto reference = run_schedule(use_ear, /*restore_each_step=*/false);
+  const auto restored = run_schedule(use_ear, /*restore_each_step=*/true);
+  ASSERT_FALSE(reference->sealed_stripes().empty());
+  EXPECT_EQ(restored->sealed_stripes(), reference->sealed_stripes());
+
+  const NamespaceSnapshot want = reference->namespace_snapshot();
+  const NamespaceSnapshot got = restored->namespace_snapshot();
+  EXPECT_EQ(got.stripes, want.stripes);
+  ASSERT_EQ(got.blocks.size(), want.blocks.size());
+  for (const auto& [block, status] : want.blocks) {
+    const auto it = got.blocks.find(block);
+    ASSERT_NE(it, got.blocks.end()) << "block " << block;
+    EXPECT_EQ(it->second.locations, status.locations) << "block " << block;
+    EXPECT_EQ(it->second.stripe, status.stripe) << "block " << block;
+    EXPECT_EQ(it->second.position, status.position) << "block " << block;
+    EXPECT_EQ(it->second.encoded, status.encoded) << "block " << block;
+  }
+  for (const auto& [id, meta] : want.stripes) {
+    EXPECT_TRUE(meta.encoded || !meta.sealed())
+        << "sealed stripe " << id << " left unconverted";
+    for (const BlockId b : meta.parity_blocks) {
+      const NodeId holder = want.blocks.at(b).locations.front();
+      EXPECT_EQ(restored->read_block(b, holder),
+                reference->read_block(b, holder))
+          << "parity block " << b;
+    }
+  }
+}
+
+TEST(Checkpoint, RestoreAtEveryStepMatchesUninterruptedRunEar) {
+  expect_restores_match_uninterrupted_run(/*use_ear=*/true);
+}
+
+TEST(Checkpoint, RestoreAtEveryStepMatchesUninterruptedRunRr) {
+  expect_restores_match_uninterrupted_run(/*use_ear=*/false);
+}
+
+// ------------------------------------------------------ corrupt images
+
+// A cluster small enough to sweep its checkpoint byte by byte: one encoded
+// stripe, one sealed stripe awaiting encoding, one stripe still assembling.
+CfsConfig tiny_config() {
+  CfsConfig cfg;
+  cfg.racks = 6;
+  cfg.nodes_per_rack = 2;
+  cfg.placement.code = CodeParams{4, 2};
+  cfg.placement.replication = 2;
+  cfg.block_size = 16;
+  cfg.seed = 5;
+  return cfg;
+}
+
+std::unique_ptr<MiniCfs> tiny_cluster() {
+  auto cfs = make_cfs(tiny_config());
+  for (uint8_t i = 0; cfs->sealed_stripes().size() < 2; ++i) {
+    cfs->write_block(std::vector<uint8_t>(16, i), NodeId{0});
+  }
+  cfs->write_block(std::vector<uint8_t>(16, 0xee), NodeId{5});
+  cfs->encode_stripe(cfs->sealed_stripes()[0]);
+  return cfs;
+}
+
+TEST(Checkpoint, EveryTruncationThrows) {
+  const auto image = save_checkpoint(*tiny_cluster());
+  for (size_t len = 0; len < image.size(); ++len) {
+    const std::vector<uint8_t> cut(image.begin(),
+                                   image.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_THROW(load_checkpoint(cut, instant(tiny_config())),
+                 std::runtime_error)
+        << "prefix of " << len << " bytes";
+    // With a valid checksum over the cut, the parser itself must notice
+    // (a cut of exactly the trailer would reseal the original image).
+    if (len >= 12 && len + 4 != image.size()) {
+      std::vector<uint8_t> resealed = cut;
+      resealed.resize(len + 4);
+      EXPECT_THROW(load_checkpoint(reseal(resealed), instant(tiny_config())),
+                   std::runtime_error)
+          << "resealed prefix of " << len << " bytes";
+    }
+  }
+}
+
+TEST(Checkpoint, EverySingleBitFlipThrows) {
+  const auto image = save_checkpoint(*tiny_cluster());
+  for (size_t bit = 0; bit < image.size() * 8; ++bit) {
+    auto flipped = image;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_THROW(load_checkpoint(flipped, instant(tiny_config())),
+                 std::runtime_error)
+        << "bit " << bit;
+  }
+}
+
+TEST(Checkpoint, ResealedBitFlipsLoadOrThrowCleanly) {
+  // Past the checksum a flip either still describes a valid cluster (block
+  // bytes, seeds) or is rejected by the parser or validate(); it never
+  // crashes, and never throws anything but std::runtime_error.
+  const auto image = save_checkpoint(*tiny_cluster());
+  int loaded = 0;
+  for (size_t byte = 0; byte + 4 < image.size(); ++byte) {
+    auto flipped = image;
+    flipped[byte] ^= static_cast<uint8_t>(1u << (byte % 8));
+    try {
+      load_checkpoint(reseal(flipped), instant(tiny_config()));
+      ++loaded;
+    } catch (const std::runtime_error&) {
+    }
+  }
+  EXPECT_GT(loaded, 0);
+}
+
+ClusterImage tiny_image() { return tiny_cluster()->export_image(); }
+
+void expect_rejected(const std::function<void(ClusterImage&)>& corrupt,
+                     const std::string& what) {
+  ClusterImage image = tiny_image();
+  corrupt(image);
+  try {
+    MiniCfs::from_image(std::move(image), instant(tiny_config()));
+    FAIL() << "image with a bad " << what << " must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ImageValidation, RejectsNodeIdOutOfRange) {
+  expect_rejected(
+      [](ClusterImage& image) {
+        image.locations.begin()->second.push_back(12);
+      },
+      "node id 12");
+}
+
+TEST(ImageValidation, RejectsPositionOutOfRange) {
+  expect_rejected(
+      [](ClusterImage& image) {
+        image.block_positions.begin()->second.second = 4;
+      },
+      "position 4");
+}
+
+TEST(ImageValidation, RejectsSealedStripeWithoutKDataBlocks) {
+  expect_rejected(
+      [](ClusterImage& image) {
+        for (auto& [id, meta] : image.stripes) {
+          if (meta.sealed() && !meta.encoded) meta.data_blocks.pop_back();
+        }
+      },
+      "has 1 data blocks");
+}
+
+TEST(ImageValidation, RejectsEncodedStripeWithoutMParityBlocks) {
+  expect_rejected(
+      [](ClusterImage& image) {
+        for (auto& [id, meta] : image.stripes) {
+          if (meta.encoded) meta.parity_blocks.pop_back();
+        }
+      },
+      "has 1 parity blocks");
+}
+
+TEST(ImageValidation, RejectsBlockIdAtOrBeyondNextBlockId) {
+  expect_rejected([](ClusterImage& image) { --image.next_block_id; },
+                  "block id");
+}
+
+TEST(ImageValidation, RejectsOpenStripeOfKBlocks) {
+  expect_rejected(
+      [](ClusterImage& image) {
+        ASSERT_EQ(image.policy.open.size(), 1u);
+        StripeInfo& open = image.policy.open[0];
+        open.blocks.push_back(open.blocks[0]);
+        open.replicas.push_back(open.replicas[0]);
+      },
+      "open stripe");
+}
+
+TEST(ImageValidation, RejectsStripeIdBeyondPolicyCounter) {
+  expect_rejected(
+      [](ClusterImage& image) { image.policy.next_stripe_id = 1; },
+      "collides with the id counters");
+}
+
+TEST(ImageValidation, RejectsNodeStoreCountMismatch) {
+  expect_rejected(
+      [](ClusterImage& image) { image.node_blocks.pop_back(); },
+      "topology mismatch");
+}
+
+TEST(ImageValidation, RejectsStoredBlockOfWrongSize) {
+  expect_rejected(
+      [](ClusterImage& image) {
+        auto& store = image.node_blocks[0];
+        store.begin()->second =
+            datapath::BlockBuffer::copy_of(std::vector<uint8_t>(15, 1));
+      },
+      "holds 15 bytes");
+}
+
+TEST(Checkpoint, FileSaveLeavesNoTemporaryAndRejectsUnreadablePaths) {
+  const auto cfs = tiny_cluster();
+  const std::string path = ::testing::TempDir() + "/tiny.ckpt";
+  ASSERT_TRUE(save_checkpoint_file(*cfs, path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(load_checkpoint_file(path, instant(tiny_config()))
+                ->sealed_stripes(),
+            cfs->sealed_stripes());
+  std::remove(path.c_str());
+  EXPECT_FALSE(save_checkpoint_file(*cfs, path + ".missing-dir/x.ckpt"));
+  EXPECT_THROW(load_checkpoint_file(path, instant(tiny_config())),
+               std::runtime_error);
+  // A directory opens but cannot be sized or read as a checkpoint.
+  EXPECT_THROW(load_checkpoint_file(::testing::TempDir(),
+                                    instant(tiny_config())),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/crc32.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -11,6 +12,45 @@
 
 namespace ear {
 namespace {
+
+// ----------------------------------------------------------------- crc32
+
+// Bit-at-a-time definition of the reflected CRC-32, the reference the
+// table-driven implementation must match.
+uint32_t crc32_bitwise(const std::vector<uint8_t>& data, size_t begin,
+                       size_t end, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = begin; i < end; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(check, 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseDefinitionAtEveryLengthAndOffset) {
+  Rng rng(3);
+  std::vector<uint8_t> data(300);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.uniform(256));
+  for (size_t begin = 0; begin < 9; ++begin) {
+    for (size_t end = begin; end <= data.size(); ++end) {
+      const std::span<const uint8_t> view(data.data() + begin, end - begin);
+      ASSERT_EQ(crc32(view), crc32_bitwise(data, begin, end, 0))
+          << begin << ".." << end;
+    }
+  }
+  // Incremental: continuing a running checksum equals one pass.
+  const uint32_t head = crc32(std::span<const uint8_t>(data.data(), 13));
+  EXPECT_EQ(crc32(std::span<const uint8_t>(data.data() + 13, 287), head),
+            crc32(data.data(), data.size()));
+}
 
 // ------------------------------------------------------------------- rng
 
@@ -130,6 +170,14 @@ TEST(Rng, ShuffleIsAPermutation) {
   auto sorted = shuffled;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, v);
+}
+
+TEST(Rng, StateRoundTripResumesTheStream) {
+  Rng a(7);
+  for (int i = 0; i < 5; ++i) a.next();
+  Rng b(99);
+  b.set_state(a.state());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

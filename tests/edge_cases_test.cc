@@ -90,12 +90,13 @@ TEST(EdgeCases, EarWithExactlyNRacksAndCOne) {
   cfg.replication = 3;
   cfg.c = 1;
   EncodingAwareReplication policy(topo, cfg, 3);
-  BlockId next = 0;
-  while (policy.sealed_stripes().size() < 3) {
-    policy.place_block(next++, std::nullopt);
+  std::vector<StripeInfo> sealed;
+  for (BlockId next = 0; sealed.size() < 3; ++next) {
+    BlockPlacement p = policy.place_block(next, std::nullopt);
+    if (p.sealed) sealed.push_back(std::move(*p.sealed));
   }
-  for (const StripeId id : policy.sealed_stripes()) {
-    const EncodePlan plan = policy.plan_encoding(id);
+  for (const StripeInfo& stripe : sealed) {
+    const EncodePlan plan = policy.plan_encoding(stripe);
     std::set<RackId> racks;
     for (const NodeId n : plan.kept) racks.insert(topo.rack_of(n));
     for (const NodeId n : plan.parity) racks.insert(topo.rack_of(n));
@@ -112,13 +113,14 @@ TEST(EdgeCases, EarOnHeterogeneousRackSizes) {
   cfg.c = 1;
   EncodingAwareReplication policy(topo, cfg, 4);
   PlacementMonitor monitor(topo, cfg.code);
-  BlockId next = 0;
-  while (policy.sealed_stripes().size() < 4) {
-    policy.place_block(next++, std::nullopt);
+  std::vector<StripeInfo> sealed;
+  for (BlockId next = 0; sealed.size() < 4; ++next) {
     ASSERT_LT(next, 5000);
+    BlockPlacement p = policy.place_block(next, std::nullopt);
+    if (p.sealed) sealed.push_back(std::move(*p.sealed));
   }
-  for (const StripeId id : policy.sealed_stripes()) {
-    const EncodePlan plan = policy.plan_encoding(id);
+  for (const StripeInfo& stripe : sealed) {
+    const EncodePlan plan = policy.plan_encoding(stripe);
     EXPECT_EQ(plan.cross_rack_downloads, 0);
     StripeLayout layout;
     layout.nodes = plan.kept;
@@ -163,13 +165,12 @@ TEST(EdgeCases, ReplicationFactorOne) {
   cfg.replication = 1;
   cfg.c = 4;
   EncodingAwareReplication policy(topo, cfg, 6);
-  BlockId next = 0;
-  while (policy.sealed_stripes().empty()) {
-    policy.place_block(next++, std::nullopt);
+  std::optional<StripeInfo> sealed;
+  for (BlockId next = 0; !sealed; ++next) {
     ASSERT_LT(next, 2000);
+    sealed = policy.place_block(next, std::nullopt).sealed;
   }
-  const EncodePlan plan =
-      policy.plan_encoding(policy.sealed_stripes()[0]);
+  const EncodePlan plan = policy.plan_encoding(*sealed);
   EXPECT_EQ(plan.cross_rack_downloads, 0);
   EXPECT_TRUE(plan.deletions.empty()) << "nothing to delete with r = 1";
 }

@@ -14,7 +14,7 @@ struct World {
   sim::Engine engine;
   sim::Network network;
   std::unique_ptr<PlacementPolicy> policy;
-  std::vector<StripeId> stripes;
+  std::vector<StripeInfo> stripes;
 
   explicit World(bool use_ear, int stripe_count = 10, uint64_t seed = 5)
       : network(engine, topo, sim::NetConfig{}) {
@@ -23,12 +23,11 @@ struct World {
     pc.replication = 3;
     policy = use_ear ? make_encoding_aware_replication(topo, pc, seed)
                      : make_random_replication(topo, pc, seed);
-    BlockId next = 0;
-    while (static_cast<int>(policy->sealed_stripes().size()) < stripe_count) {
-      policy->place_block(next++, std::nullopt);
+    for (BlockId next = 0; static_cast<int>(stripes.size()) < stripe_count;
+         ++next) {
+      BlockPlacement p = policy->place_block(next, std::nullopt);
+      if (p.sealed) stripes.push_back(std::move(*p.sealed));
     }
-    stripes = policy->sealed_stripes();
-    stripes.resize(static_cast<size_t>(stripe_count));
   }
 };
 

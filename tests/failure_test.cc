@@ -642,11 +642,13 @@ TEST(Reliability, PolicyPlacementsEarBeatsRrPostEncoding) {
   const auto run = [&](bool use_ear) {
     auto policy = use_ear ? make_encoding_aware_replication(topo, pcfg, 5)
                           : make_random_replication(topo, pcfg, 5);
-    BlockId next = 0;
-    while (static_cast<int>(policy->sealed_stripes().size()) < 40) {
-      policy->place_block(next++, std::nullopt);
+    std::vector<StripeInfo> sealed;
+    for (BlockId next = 0; sealed.size() < 40; ++next) {
+      BlockPlacement p = policy->place_block(next, std::nullopt);
+      if (p.sealed) sealed.push_back(std::move(*p.sealed));
     }
-    return estimate_reliability(topo, encoded_placements(*policy), rel);
+    return estimate_reliability(topo, encoded_placements(*policy, sealed),
+                                rel);
   };
   const auto rr = run(false);
   const auto ear = run(true);

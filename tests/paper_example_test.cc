@@ -25,12 +25,11 @@ TEST(PaperExample, Figure2MotivatingScenario) {
   // Under EAR the stripe encodes with zero cross-rack downloads and
   // tolerates a single rack failure with no relocation (Figure 2(b)).
   EncodingAwareReplication ear_policy(topo, cfg, 123);
-  BlockId next = 0;
-  while (ear_policy.sealed_stripes().empty()) {
-    ear_policy.place_block(next++, std::nullopt);
+  std::optional<StripeInfo> stripe;
+  for (BlockId next = 0; !stripe; ++next) {
+    stripe = ear_policy.place_block(next, std::nullopt).sealed;
   }
-  const StripeId stripe = ear_policy.sealed_stripes()[0];
-  const EncodePlan plan = ear_policy.plan_encoding(stripe);
+  const EncodePlan plan = ear_policy.plan_encoding(*stripe);
   EXPECT_EQ(plan.cross_rack_downloads, 0);
 
   StripeLayout layout;
@@ -48,12 +47,10 @@ TEST(PaperExample, Figure2MotivatingScenario) {
   RandomReplication rr(topo, cfg, 124);
   double cross = 0;
   int stripes = 0;
-  BlockId b = 0;
-  while (stripes < 500) {
-    rr.place_block(b++, std::nullopt);
-    const auto sealed = rr.sealed_stripes();
-    if (static_cast<int>(sealed.size()) > stripes) {
-      cross += rr.plan_encoding(sealed.back()).cross_rack_downloads;
+  for (BlockId b = 0; stripes < 500; ++b) {
+    const auto sealed = rr.place_block(b, std::nullopt).sealed;
+    if (sealed) {
+      cross += rr.plan_encoding(*sealed).cross_rack_downloads;
       ++stripes;
     }
   }
@@ -98,13 +95,12 @@ TEST(PaperExample, Figure6TargetRacks) {
   cfg.c = 3;
   cfg.target_racks = 2;
   EncodingAwareReplication ear_policy(topo, cfg, 125);
-  BlockId next = 0;
-  while (ear_policy.sealed_stripes().empty()) {
-    ear_policy.place_block(next++, std::nullopt);
+  std::optional<StripeInfo> stripe;
+  for (BlockId next = 0; !stripe; ++next) {
+    stripe = ear_policy.place_block(next, std::nullopt).sealed;
   }
-  const StripeId stripe = ear_policy.sealed_stripes()[0];
-  const EncodePlan plan = ear_policy.plan_encoding(stripe);
-  const auto& targets = ear_policy.stripe_target_racks(stripe);
+  const EncodePlan plan = ear_policy.plan_encoding(*stripe);
+  const auto& targets = stripe->target_racks;
   const std::set<RackId> target_set(targets.begin(), targets.end());
   ASSERT_EQ(target_set.size(), 2u);
   std::set<RackId> used;

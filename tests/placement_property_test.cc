@@ -43,14 +43,14 @@ TEST_P(EarPropertySweep, InvariantsHold) {
       topo, cfg, static_cast<uint64_t>(racks * 1000 + k * 10 + c));
   const PlacementMonitor monitor(topo, cfg.code);
 
-  BlockId next = 0;
-  while (ear_policy.sealed_stripes().size() < 5) {
-    ear_policy.place_block(next++, std::nullopt);
+  std::vector<StripeInfo> sealed;
+  for (BlockId next = 0; sealed.size() < 5; ++next) {
     ASSERT_LT(next, 10000) << "placement failed to seal stripes";
+    BlockPlacement p = ear_policy.place_block(next, std::nullopt);
+    if (p.sealed) sealed.push_back(std::move(*p.sealed));
   }
 
-  for (const StripeId id : ear_policy.sealed_stripes()) {
-    const StripeInfo& s = ear_policy.stripe(id);
+  for (const StripeInfo& s : sealed) {
 
     // (1) first replica in core rack; replica sets well-formed.
     for (const auto& replicas : s.replicas) {
@@ -60,7 +60,7 @@ TEST_P(EarPropertySweep, InvariantsHold) {
       EXPECT_EQ(unique.size(), replicas.size());
     }
 
-    const EncodePlan plan = ear_policy.plan_encoding(id);
+    const EncodePlan plan = ear_policy.plan_encoding(s);
 
     // (2) encoder locality.
     EXPECT_EQ(topo.rack_of(plan.encoder), s.core_rack);
@@ -121,10 +121,9 @@ TEST_P(RrPropertySweep, CrossRackDownloadsTrackTheFormula) {
   double cross = 0;
   int stripes = 0;
   while (stripes < 150) {
-    rr.place_block(next++, std::nullopt);
-    const auto sealed = rr.sealed_stripes();
-    if (static_cast<int>(sealed.size()) > stripes) {
-      cross += rr.plan_encoding(sealed.back()).cross_rack_downloads;
+    const auto sealed = rr.place_block(next++, std::nullopt).sealed;
+    if (sealed) {
+      cross += rr.plan_encoding(*sealed).cross_rack_downloads;
       ++stripes;
     }
   }

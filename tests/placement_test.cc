@@ -22,6 +22,17 @@ PlacementConfig default_config(int n = 14, int k = 10, int r = 3, int c = 1) {
   return cfg;
 }
 
+// Places blocks 0..count-1 from remote clients and returns the stripes they
+// sealed, in seal order.
+std::vector<StripeInfo> place(PlacementPolicy& policy, BlockId count) {
+  std::vector<StripeInfo> sealed;
+  for (BlockId b = 0; b < count; ++b) {
+    BlockPlacement p = policy.place_block(b, std::nullopt);
+    if (p.sealed) sealed.push_back(std::move(*p.sealed));
+  }
+  return sealed;
+}
+
 // ---------------------------------------------------------------- layouts
 
 TEST(ReplicaLayout, HdfsDefaultShape) {
@@ -76,13 +87,9 @@ TEST(ReplicaLayout, TwoWayReplicationForSingleNodeRacks) {
 TEST(RandomReplication, StripesSealAfterKBlocks) {
   const Topology topo(20, 20);
   RandomReplication rr(topo, default_config(14, 10), 44);
-  for (BlockId b = 0; b < 25; ++b) {
-    rr.place_block(b, std::nullopt);
-  }
-  const auto sealed = rr.sealed_stripes();
+  const auto sealed = place(rr, 25);
   ASSERT_EQ(sealed.size(), 2u);  // 25 blocks -> 2 sealed stripes of 10
-  for (const StripeId id : sealed) {
-    const StripeInfo& s = rr.stripe(id);
+  for (const StripeInfo& s : sealed) {
     EXPECT_EQ(s.blocks.size(), 10u);
     EXPECT_EQ(s.core_rack, kInvalidRack);
   }
@@ -99,14 +106,13 @@ TEST(RandomReplication, EncodingPlanKeepsOneReplicaPerBlock) {
   const Topology topo(20, 20);
   const auto cfg = default_config(14, 10);
   RandomReplication rr(topo, cfg, 46);
-  for (BlockId b = 0; b < 10; ++b) rr.place_block(b, std::nullopt);
-  const auto sealed = rr.sealed_stripes();
+  const auto sealed = place(rr, 10);
   ASSERT_EQ(sealed.size(), 1u);
 
   const EncodePlan plan = rr.plan_encoding(sealed[0]);
   ASSERT_EQ(plan.kept.size(), 10u);
   ASSERT_EQ(plan.parity.size(), 4u);
-  const StripeInfo& s = rr.stripe(sealed[0]);
+  const StripeInfo& s = sealed[0];
   for (int i = 0; i < 10; ++i) {
     const auto& reps = s.replicas[static_cast<size_t>(i)];
     EXPECT_TRUE(std::find(reps.begin(), reps.end(),
@@ -126,11 +132,11 @@ TEST(RandomReplication, CrossRackDownloadsMatchExpectation) {
   // that is 9.0.
   const Topology topo(20, 20);
   RandomReplication rr(topo, default_config(14, 10), 47);
-  for (BlockId b = 0; b < 10 * 400; ++b) rr.place_block(b, std::nullopt);
+  const auto sealed = place(rr, 10 * 400);
   double total = 0;
   int stripes = 0;
-  for (const StripeId id : rr.sealed_stripes()) {
-    total += rr.plan_encoding(id).cross_rack_downloads;
+  for (const StripeInfo& s : sealed) {
+    total += rr.plan_encoding(s).cross_rack_downloads;
     ++stripes;
   }
   const double avg = total / stripes;
@@ -142,9 +148,8 @@ TEST(RandomReplication, CrossRackDownloadsMatchExpectation) {
 TEST(EncodingAwareReplication, AllBlocksHaveFirstReplicaInCoreRack) {
   const Topology topo(20, 20);
   EncodingAwareReplication ear(topo, default_config(14, 10), 48);
-  for (BlockId b = 0; b < 200; ++b) ear.place_block(b, std::nullopt);
-  for (const StripeId id : ear.sealed_stripes()) {
-    const StripeInfo& s = ear.stripe(id);
+  const auto sealed = place(ear, 200);
+  for (const StripeInfo& s : sealed) {
     ASSERT_NE(s.core_rack, kInvalidRack);
     for (const auto& replicas : s.replicas) {
       EXPECT_EQ(topo.rack_of(replicas[0]), s.core_rack);
@@ -155,12 +160,12 @@ TEST(EncodingAwareReplication, AllBlocksHaveFirstReplicaInCoreRack) {
 TEST(EncodingAwareReplication, ZeroCrossRackDownloads) {
   const Topology topo(20, 20);
   EncodingAwareReplication ear(topo, default_config(14, 10), 49);
-  for (BlockId b = 0; b < 300; ++b) ear.place_block(b, std::nullopt);
-  ASSERT_FALSE(ear.sealed_stripes().empty());
-  for (const StripeId id : ear.sealed_stripes()) {
-    const EncodePlan plan = ear.plan_encoding(id);
+  const auto sealed = place(ear, 300);
+  ASSERT_FALSE(sealed.empty());
+  for (const StripeInfo& s : sealed) {
+    const EncodePlan plan = ear.plan_encoding(s);
     EXPECT_EQ(plan.cross_rack_downloads, 0);
-    EXPECT_EQ(topo.rack_of(plan.encoder), ear.stripe(id).core_rack);
+    EXPECT_EQ(topo.rack_of(plan.encoder), s.core_rack);
   }
 }
 
@@ -169,10 +174,10 @@ TEST(EncodingAwareReplication, PostEncodeLayoutSatisfiesRackFaultTolerance) {
   const auto cfg = default_config(14, 10, 3, /*c=*/1);
   EncodingAwareReplication ear(topo, cfg, 50);
   PlacementMonitor monitor(topo, cfg.code);
-  for (BlockId b = 0; b < 400; ++b) ear.place_block(b, std::nullopt);
-  ASSERT_FALSE(ear.sealed_stripes().empty());
-  for (const StripeId id : ear.sealed_stripes()) {
-    const EncodePlan plan = ear.plan_encoding(id);
+  const auto sealed = place(ear, 400);
+  ASSERT_FALSE(sealed.empty());
+  for (const StripeInfo& s : sealed) {
+    const EncodePlan plan = ear.plan_encoding(s);
     StripeLayout layout;
     layout.nodes = plan.kept;
     layout.nodes.insert(layout.nodes.end(), plan.parity.begin(),
@@ -189,10 +194,9 @@ TEST(EncodingAwareReplication, PostEncodeLayoutSatisfiesRackFaultTolerance) {
 TEST(EncodingAwareReplication, KeptReplicaIsAnActualReplica) {
   const Topology topo(16, 8);
   EncodingAwareReplication ear(topo, default_config(12, 8), 51);
-  for (BlockId b = 0; b < 200; ++b) ear.place_block(b, std::nullopt);
-  for (const StripeId id : ear.sealed_stripes()) {
-    const EncodePlan plan = ear.plan_encoding(id);
-    const StripeInfo& s = ear.stripe(id);
+  const auto sealed = place(ear, 200);
+  for (const StripeInfo& s : sealed) {
+    const EncodePlan plan = ear.plan_encoding(s);
     for (size_t i = 0; i < plan.kept.size(); ++i) {
       const auto& reps = s.replicas[i];
       EXPECT_TRUE(std::find(reps.begin(), reps.end(), plan.kept[i]) !=
@@ -206,10 +210,10 @@ TEST(EncodingAwareReplication, LargerCAllowsMoreBlocksPerRack) {
   const auto cfg = default_config(14, 10, 3, /*c=*/2);
   EncodingAwareReplication ear(topo, cfg, 52);
   PlacementMonitor monitor(topo, cfg.code);
-  for (BlockId b = 0; b < 300; ++b) ear.place_block(b, std::nullopt);
-  ASSERT_FALSE(ear.sealed_stripes().empty());
-  for (const StripeId id : ear.sealed_stripes()) {
-    const EncodePlan plan = ear.plan_encoding(id);
+  const auto sealed = place(ear, 300);
+  ASSERT_FALSE(sealed.empty());
+  for (const StripeInfo& s : sealed) {
+    const EncodePlan plan = ear.plan_encoding(s);
     StripeLayout layout;
     layout.nodes = plan.kept;
     layout.nodes.insert(layout.nodes.end(), plan.parity.begin(),
@@ -227,12 +231,12 @@ TEST(EncodingAwareReplication, TargetRacksConfineEncodedStripe) {
   auto cfg = default_config(6, 3, 3, /*c=*/3);
   cfg.target_racks = 2;
   EncodingAwareReplication ear(topo, cfg, 53);
-  for (BlockId b = 0; b < 60; ++b) ear.place_block(b, std::nullopt);
-  ASSERT_FALSE(ear.sealed_stripes().empty());
-  for (const StripeId id : ear.sealed_stripes()) {
-    const auto& targets = ear.stripe_target_racks(id);
+  const auto sealed = place(ear, 60);
+  ASSERT_FALSE(sealed.empty());
+  for (const StripeInfo& s : sealed) {
+    const auto& targets = s.target_racks;
     ASSERT_EQ(targets.size(), 2u);
-    const EncodePlan plan = ear.plan_encoding(id);
+    const EncodePlan plan = ear.plan_encoding(s);
     std::set<RackId> target_set(targets.begin(), targets.end());
     for (const NodeId n : plan.kept) {
       EXPECT_TRUE(target_set.count(topo.rack_of(n)))
@@ -250,7 +254,7 @@ TEST(EncodingAwareReplication, IterationCountsAreModest) {
   // *average* over all blocks is well below that.
   const Topology topo(20, 20);
   EncodingAwareReplication ear(topo, default_config(14, 10), 54);
-  for (BlockId b = 0; b < 2000; ++b) ear.place_block(b, std::nullopt);
+  place(ear, 2000);
   const double avg =
       static_cast<double>(ear.total_layout_iterations()) /
       static_cast<double>(ear.total_blocks_placed());
@@ -264,12 +268,15 @@ TEST(EncodingAwareReplication, DistinctCoreRacksProgressIndependently) {
   // Alternate writers between racks 0 and 1: two stripes fill in parallel.
   for (BlockId b = 0; b < 6; ++b) {
     const NodeId writer = (b % 2 == 0) ? NodeId{0} : NodeId{8};
-    ear.place_block(b, writer);
+    EXPECT_FALSE(ear.place_block(b, writer).sealed);  // 3 blocks each, k = 4
   }
-  EXPECT_TRUE(ear.sealed_stripes().empty());  // 3 blocks each, k = 4
-  ear.place_block(6, NodeId{0});
-  ear.place_block(7, NodeId{8});
-  EXPECT_EQ(ear.sealed_stripes().size(), 2u);
+  const auto first = ear.place_block(6, NodeId{0});
+  const auto second = ear.place_block(7, NodeId{8});
+  ASSERT_TRUE(first.sealed && second.sealed);
+  EXPECT_NE(first.sealed->id, second.sealed->id);
+  EXPECT_EQ(first.position, 3);
+  EXPECT_EQ(first.sealed->blocks, (std::vector<BlockId>{0, 2, 4, 6}));
+  EXPECT_EQ(second.sealed->blocks, (std::vector<BlockId>{1, 3, 5, 7}));
 }
 
 TEST(EncodingAwareReplication, RejectsInfeasibleConfig) {
@@ -285,6 +292,23 @@ TEST(EncodingAwareReplication, RejectsInfeasibleConfig) {
   auto cfg = default_config(5, 4, 3, 2);
   cfg.target_racks = 9;
   EXPECT_THROW(EncodingAwareReplication(topo, cfg, 58), std::invalid_argument);
+}
+
+TEST(PlacementPolicy, PlanEncodingRejectsStripesItCannotPlan) {
+  const Topology topo(6, 4);
+  const auto cfg = default_config(5, 4, 3, 1);
+  EncodingAwareReplication ear(topo, cfg, 64);
+  RandomReplication rr(topo, cfg, 64);
+  StripeInfo partial = place(ear, 40).front();
+  partial.blocks.pop_back();
+  partial.replicas.pop_back();
+  EXPECT_THROW(ear.plan_encoding(partial), std::invalid_argument);
+  EXPECT_THROW(rr.plan_encoding(partial), std::invalid_argument);
+  // k blocks whose replicas all sit in the core rack admit no c = 1
+  // matching: EAR must refuse rather than index a missing kept replica.
+  StripeInfo crowded = place(ear, 40).front();
+  for (auto& replicas : crowded.replicas) replicas = {0, 1, 2};
+  EXPECT_THROW(ear.plan_encoding(crowded), std::runtime_error);
 }
 
 TEST(EarStripeMaxFlow, MatchesHandComputedExample) {
@@ -396,12 +420,10 @@ TEST(PlacementMonitor, RandomReplicationOftenViolatesButEarNever) {
   PlacementMonitor monitor(topo, cfg.code);
 
   int rr_violations = 0, ear_violations = 0, stripes = 0;
-  for (BlockId b = 0; b < 8 * 100; ++b) {
-    rr.place_block(b, std::nullopt);
-    ear.place_block(b, std::nullopt);
-  }
-  for (const StripeId id : rr.sealed_stripes()) {
-    const auto plan = rr.plan_encoding(id);
+  const auto rr_sealed = place(rr, 8 * 100);
+  const auto ear_sealed = place(ear, 8 * 100);
+  for (const StripeInfo& s : rr_sealed) {
+    const auto plan = rr.plan_encoding(s);
     StripeLayout layout;
     layout.nodes = plan.kept;
     layout.nodes.insert(layout.nodes.end(), plan.parity.begin(),
@@ -409,8 +431,8 @@ TEST(PlacementMonitor, RandomReplicationOftenViolatesButEarNever) {
     if (!monitor.plan_relocations(layout, 1).empty()) ++rr_violations;
     ++stripes;
   }
-  for (const StripeId id : ear.sealed_stripes()) {
-    const auto plan = ear.plan_encoding(id);
+  for (const StripeInfo& s : ear_sealed) {
+    const auto plan = ear.plan_encoding(s);
     StripeLayout layout;
     layout.nodes = plan.kept;
     layout.nodes.insert(layout.nodes.end(), plan.parity.begin(),
@@ -431,12 +453,12 @@ TEST(EncodingAwareReplication, TargetRacksConfineAllReplicas) {
   auto cfg = default_config(14, 10, 3, /*c=*/4);
   cfg.target_racks = 4;
   EncodingAwareReplication ear(topo, cfg, 61);
-  for (BlockId b = 0; b < 200; ++b) ear.place_block(b, std::nullopt);
-  ASSERT_FALSE(ear.sealed_stripes().empty());
-  for (const StripeId id : ear.sealed_stripes()) {
-    const auto& targets = ear.stripe_target_racks(id);
+  const auto sealed = place(ear, 200);
+  ASSERT_FALSE(sealed.empty());
+  for (const StripeInfo& s : sealed) {
+    const auto& targets = s.target_racks;
     const std::set<RackId> target_set(targets.begin(), targets.end());
-    for (const auto& replicas : ear.stripe(id).replicas) {
+    for (const auto& replicas : s.replicas) {
       for (const NodeId n : replicas) {
         EXPECT_TRUE(target_set.count(topo.rack_of(n)))
             << "replica outside the stripe's target racks";
@@ -452,11 +474,11 @@ TEST(EncodingAwareReplication, LargeCPutsParityInCoreRack) {
   auto cfg = default_config(14, 10, 3, /*c=*/4);
   cfg.target_racks = 4;
   EncodingAwareReplication ear(topo, cfg, 62);
-  for (BlockId b = 0; b < 10 * 60; ++b) ear.place_block(b, std::nullopt);
+  const auto sealed = place(ear, 10 * 60);
   double cross = 0;
   int stripes = 0;
-  for (const StripeId id : ear.sealed_stripes()) {
-    cross += ear.plan_encoding(id).cross_rack_parity_uploads;
+  for (const StripeInfo& s : sealed) {
+    cross += ear.plan_encoding(s).cross_rack_parity_uploads;
     ++stripes;
   }
   ASSERT_GT(stripes, 0);
@@ -472,10 +494,9 @@ TEST(EncodingAwareReplication, PostPassKeepsLayoutValid) {
   cfg.target_racks = 7;
   EncodingAwareReplication ear(topo, cfg, 63);
   PlacementMonitor monitor(topo, cfg.code);
-  for (BlockId b = 0; b < 10 * 40; ++b) ear.place_block(b, std::nullopt);
-  for (const StripeId id : ear.sealed_stripes()) {
-    const EncodePlan plan = ear.plan_encoding(id);
-    const StripeInfo& s = ear.stripe(id);
+  const auto sealed = place(ear, 10 * 40);
+  for (const StripeInfo& s : sealed) {
+    const EncodePlan plan = ear.plan_encoding(s);
     // Kept replicas are actual replicas.
     for (size_t i = 0; i < plan.kept.size(); ++i) {
       const auto& reps = s.replicas[i];
