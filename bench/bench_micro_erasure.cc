@@ -1,5 +1,7 @@
 // Microbenchmarks of the coding substrates: GF(2^8) kernels and the
-// Reed-Solomon codec (both constructions), via google-benchmark.
+// Reed-Solomon codec (both constructions), via google-benchmark.  The
+// BM_RsEncodeRows / BM_RsEncodePerRow pairs pin each compiled kernel in
+// turn (gfni included where the CPU has it).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -95,6 +97,56 @@ void BM_RsEncodeVandermonde(benchmark::State& state) {
   rs_encode_bench(state, erasure::Construction::kVandermonde);
 }
 BENCHMARK(BM_RsEncodeVandermonde)->Arg(10);
+
+// RS(14,10) encode per kernel: the codec's one mul_add_rows pass over the
+// sources against one mul_add_multi sweep per parity row over the same
+// generator rows (how the codec applied its rows before mul_add_rows).
+void register_encode_rows_benchmarks() {
+  constexpr int kK = 10;
+  constexpr int kM = 4;
+  for (const gf::GfKernel* kern : gf::compiled_kernels()) {
+    for (const size_t block : {size_t{4096}, size_t{65536}, size_t{1} << 20}) {
+      for (const bool fused : {true, false}) {
+        const std::string name =
+            std::string(fused ? "BM_RsEncodeRows/" : "BM_RsEncodePerRow/") +
+            kern->name + "/" + std::to_string(block);
+        benchmark::RegisterBenchmark(
+            name.c_str(), [kern, block, fused](benchmark::State& state) {
+              const gf::KernelOverride pin(kern->name);
+              const erasure::RSCode code(kK + kM, kK);
+              std::vector<std::vector<uint8_t>> data, parity;
+              for (int i = 0; i < kK; ++i) {
+                data.push_back(
+                    random_bytes(block, static_cast<uint64_t>(i + 240)));
+              }
+              parity.assign(kM, std::vector<uint8_t>(block));
+              std::vector<erasure::BlockView> dv(data.begin(), data.end());
+              std::vector<erasure::MutBlockView> pv(parity.begin(),
+                                                    parity.end());
+              const std::vector<const uint8_t*> srcs =
+                  erasure::window(dv, 0, block);
+              for (auto _ : state) {
+                if (fused) {
+                  code.encode(dv, pv);
+                } else {
+                  for (int r = 0; r < kM; ++r) {
+                    kern->mul_add_multi(parity[static_cast<size_t>(r)].data(),
+                                        srcs.data(),
+                                        code.generator().row(kK + r), kK,
+                                        block, /*accumulate=*/false);
+                  }
+                }
+                benchmark::DoNotOptimize(parity[0].data());
+              }
+              state.SetBytesProcessed(
+                  static_cast<int64_t>(state.iterations()) *
+                  static_cast<int64_t>(block) * kK);
+              state.SetLabel(kernel_label());
+            });
+      }
+    }
+  }
+}
 
 void BM_RsDecodeWorstCase(benchmark::State& state) {
   // All n - k data blocks erased; rebuilt from the parity set.
@@ -359,6 +411,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
     return 1;
   }
+  register_encode_rows_benchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -1,15 +1,18 @@
 // Microbenchmarks of the runtime-dispatched GF(2^8) kernel layer: MB/s per
 // kernel per length for mul_add / mul_assign / xor_add and the multi-source
-// sweep, across L1/L2/LLC/DRAM-resident buffer sizes — the numbers behind
-// the ThrottleConfig::pipeline_chunk (Transport::preferred_chunk) tuning.
+// sweep, and mul_add_rows against one mul_add_multi per row on the RS(14,10)
+// encode shape, across L1/L2/LLC/DRAM-resident buffer sizes — the numbers
+// behind the ThrottleConfig::pipeline_chunk (Transport::preferred_chunk)
+// tuning.
 //
 // Speaks the scenario-bench CLI via the bench_micro_erasure custom-main
 // pattern (--smoke, --csv-out <path>), plus a CI gate:
 //   --check-speedup   times 64 KiB mul_add per kernel without
-//                     google-benchmark and exits non-zero unless the best
-//                     non-scalar kernel is >= 2x scalar (the full-bench
+//                     google-benchmark and exits non-zero unless the kernel
+//                     `auto` dispatches to is >= 2x scalar (the full-bench
 //                     target is >= 5x on AVX2 hardware; 2x is the floor so
-//                     throttled CI runners don't flake).
+//                     throttled CI runners don't flake).  It prints the
+//                     kernel it gated.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -99,6 +102,52 @@ void register_kernel_benchmarks() {
             state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                                     static_cast<int64_t>(len * kSrc));
           });
+      // The RS(14,10) encode shape, m = 4 rows over k = 10 sources: every
+      // row from one mul_add_rows pass vs one mul_add_multi sweep per row.
+      // Bytes processed count the source data once.
+      for (const bool fused : {true, false}) {
+        benchmark::RegisterBenchmark(
+            ((fused ? "BM_KernelMulAddRows4x10/"
+                    : "BM_KernelPerRowMulAddMulti4x10/") +
+             suffix)
+                .c_str(),
+            [k, len, fused](benchmark::State& state) {
+              constexpr size_t kSrc = 10;
+              constexpr size_t kRows = 4;
+              std::vector<std::vector<uint8_t>> pool, out;
+              std::vector<const uint8_t*> srcs;
+              std::vector<uint8_t*> dsts;
+              std::vector<uint8_t> coeffs;
+              for (size_t j = 0; j < kSrc; ++j) {
+                pool.push_back(random_bytes(len, 30 + j));
+                srcs.push_back(pool.back().data());
+              }
+              for (size_t r = 0; r < kRows; ++r) {
+                out.emplace_back(len);
+                dsts.push_back(out.back().data());
+                for (size_t j = 0; j < kSrc; ++j) {
+                  coeffs.push_back(static_cast<uint8_t>(kSrc * r + j + 2));
+                }
+              }
+              for (auto _ : state) {
+                if (fused) {
+                  k->mul_add_rows(dsts.data(), kRows, srcs.data(),
+                                  coeffs.data(), kSrc, len,
+                                  /*accumulate=*/false);
+                } else {
+                  for (size_t r = 0; r < kRows; ++r) {
+                    k->mul_add_multi(dsts[r], srcs.data(),
+                                     coeffs.data() + r * kSrc, kSrc, len,
+                                     /*accumulate=*/false);
+                  }
+                }
+                benchmark::DoNotOptimize(dsts.data());
+              }
+              state.SetBytesProcessed(
+                  static_cast<int64_t>(state.iterations()) *
+                  static_cast<int64_t>(len * kSrc));
+            });
+      }
     }
   }
 }
@@ -143,20 +192,23 @@ int run_check_speedup() {
                 "speedup gate passes vacuously\n");
     return 0;
   }
-  bool ok = false;
+  const gf::GfKernel& gated = gf::resolve_kernel("auto");
+  double gated_ratio = 0;
   for (const gf::GfKernel* k : kernels) {
     if (k == &scalar) continue;
     const double mb_s = measure_mul_add_mb_s(*k);
     const double ratio = mb_s / scalar_mb_s;
     std::printf("%-10s  %18.1f   %8.2fx\n", k->name, mb_s, ratio);
-    if (ratio >= 2.0) ok = true;
+    if (k == &gated) gated_ratio = ratio;
   }
-  if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: no SIMD kernel reached 2x scalar on 64 KiB mul_add\n");
+  std::printf("gated kernel: %s (what EAR_GF_KERNEL=auto dispatches to)\n",
+              gated.name);
+  if (gated_ratio < 2.0) {
+    std::fprintf(stderr, "FAIL: %s is below 2x scalar on 64 KiB mul_add\n",
+                 gated.name);
     return 1;
   }
-  std::printf("OK: best SIMD kernel >= 2x scalar\n");
+  std::printf("OK: %s >= 2x scalar\n", gated.name);
   return 0;
 }
 

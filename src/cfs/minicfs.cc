@@ -17,6 +17,26 @@
 
 namespace ear::cfs {
 
+namespace {
+
+// `now` ordered like `placed`: the members of `placed` that `now` holds, in
+// placement order, then the rest of `now` in its own order.  Equal sets come
+// back exactly as placed.
+std::vector<NodeId> in_placement_order(const std::vector<NodeId>& placed,
+                                       const std::vector<NodeId>& now) {
+  std::vector<NodeId> out;
+  out.reserve(now.size());
+  for (const NodeId n : placed) {
+    if (std::find(now.begin(), now.end(), n) != now.end()) out.push_back(n);
+  }
+  for (const NodeId n : now) {
+    if (std::find(out.begin(), out.end(), n) == out.end()) out.push_back(n);
+  }
+  return out;
+}
+
+}  // namespace
+
 MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
     : config_(config),
       topo_(config.racks, config.nodes_per_rack),
@@ -440,7 +460,31 @@ void MiniCfs::encode_stripe(StripeId stripe,
   if (!meta) throw std::runtime_error("unknown stripe");
   if (meta->encoded) throw std::runtime_error("stripe already encoded");
   if (!meta->sealed()) throw std::runtime_error("stripe not sealed");
-  const StripeInfo& info = *meta->placement;
+  // Plan from every copy the cluster holds now, not only where the blocks
+  // were placed: the namespace's current locations (a copy that
+  // restore_redundancy re-made while the stripe waited is a source and a
+  // deletion candidate like any other), plus placement-time copies it
+  // stopped listing that are still in their store (a node revived after
+  // its copies were re-made elsewhere), so none is left behind unreferenced.
+  // Placement order is kept where the sets agree, so the policy's RNG draws
+  // are unchanged for stripes nothing was re-replicated for.
+  const StripeInfo& placed = *meta->placement;
+  StripeInfo info = placed;
+  for (size_t i = 0; i < info.blocks.size(); ++i) {
+    const BlockId block = info.blocks[i];
+    std::vector<NodeId> held = block_locations(block);
+    for (const NodeId n : placed.replicas[i]) {
+      if (std::find(held.begin(), held.end(), n) == held.end() &&
+          datanodes_[static_cast<size_t>(n)]->contains(block)) {
+        held.push_back(n);
+      }
+    }
+    if (held.empty()) {
+      throw std::runtime_error("no replica left to encode block " +
+                               std::to_string(block));
+    }
+    info.replicas[i] = in_placement_order(placed.replicas[i], held);
+  }
   const std::vector<BlockId>& data_blocks = info.blocks;
   EncodePlan plan;
   {

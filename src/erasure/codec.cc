@@ -130,25 +130,14 @@ void LrcCodec::encode_chunk(const std::vector<BlockView>& data,
                             const std::vector<MutBlockView>& parity,
                             size_t offset, size_t len) const {
   // All LRC parity rows are bytewise GF(2^8) combinations, so the windowed
-  // encode applies the generator's parity rows to the window directly.
+  // encode applies the generator's parity rows to the window directly; the
+  // local parities' zero coefficients contribute nothing.
   assert(static_cast<int>(data.size()) == k());
   assert(static_cast<int>(parity.size()) == m());
-  std::vector<const uint8_t*> srcs;
-  std::vector<uint8_t> row;
-  srcs.reserve(data.size());
-  row.reserve(data.size());
-  for (int j = 0; j < m(); ++j) {
-    MutBlockView out = parity[static_cast<size_t>(j)].subspan(offset, len);
-    srcs.clear();
-    row.clear();
-    for (int i = 0; i < k(); ++i) {
-      const uint8_t coeff = code_.generator().at(k() + j, i);
-      if (coeff == 0) continue;  // local parities touch one group only
-      srcs.push_back(data[static_cast<size_t>(i)].subspan(offset, len).data());
-      row.push_back(coeff);
-    }
-    gf::mul_add_multi(srcs, row, out, /*accumulate=*/false);
-  }
+  Matrix rows;
+  encode_schedule(&rows);
+  gf::mul_add_rows(window(parity, offset, len), window(data, offset, len),
+                   rows.elements(), len, /*accumulate=*/false);
 }
 
 bool LrcCodec::encode_schedule(Matrix* out) const {

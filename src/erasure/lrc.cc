@@ -1,6 +1,7 @@
 #include "erasure/lrc.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -97,26 +98,6 @@ std::vector<int> independent_rows(const Matrix& rows, int k) {
   return chosen;
 }
 
-void apply_rows(const Matrix& coeffs, const std::vector<BlockView>& src,
-                const std::vector<MutBlockView>& dst) {
-  assert(static_cast<size_t>(coeffs.rows()) == dst.size());
-  assert(static_cast<size_t>(coeffs.cols()) == src.size());
-  for (int r = 0; r < coeffs.rows(); ++r) {
-    MutBlockView out = dst[static_cast<size_t>(r)];
-    bool first = true;
-    for (int c = 0; c < coeffs.cols(); ++c) {
-      const uint8_t coeff = coeffs.at(r, c);
-      if (first) {
-        gf::mul_assign(coeff, src[static_cast<size_t>(c)], out);
-        first = false;
-      } else {
-        gf::mul_add(coeff, src[static_cast<size_t>(c)], out);
-      }
-    }
-    if (first) std::fill(out.begin(), out.end(), uint8_t{0});
-  }
-}
-
 }  // namespace
 
 LRCCode::LRCCode(int k, int local_groups, int global_parities)
@@ -143,7 +124,10 @@ void LRCCode::encode(const std::vector<BlockView>& data,
   assert(static_cast<int>(parity.size()) == l_ + g_);
   std::vector<int> parity_rows;
   for (int r = k_; r < n(); ++r) parity_rows.push_back(r);
-  apply_rows(generator_.select_rows(parity_rows), data, parity);
+  const size_t size = data.front().size();
+  gf::mul_add_rows(window(parity, 0, size), window(data, 0, size),
+                   generator_.select_rows(parity_rows).elements(), size,
+                   /*accumulate=*/false);
 }
 
 std::vector<int> LRCCode::repair_plan(int lost_id) const {
@@ -175,8 +159,9 @@ void LRCCode::repair(int lost_id, const std::vector<BlockView>& sources,
     return;
   }
   // Global parity: re-encode its generator row over the data blocks.
-  const Matrix row = generator_.select_rows({lost_id});
-  apply_rows(row, sources, {out});
+  gf::mul_add_rows(std::array{out.data()}, window(sources, 0, out.size()),
+                   generator_.select_rows({lost_id}).elements(), out.size(),
+                   /*accumulate=*/false);
 }
 
 bool LRCCode::reconstruct(const std::vector<int>& available_ids,
@@ -199,7 +184,9 @@ bool LRCCode::reconstruct(const std::vector<int>& available_ids,
   const Matrix decode = generator_.select_rows(chosen_ids).inverted();
   if (decode.rows() == 0) return false;
   const Matrix coeffs = generator_.select_rows(wanted_ids).multiply(decode);
-  apply_rows(coeffs, chosen_blocks, out);
+  const size_t size = chosen_blocks.front().size();
+  gf::mul_add_rows(window(out, 0, size), window(chosen_blocks, 0, size),
+                   coeffs.elements(), size, /*accumulate=*/false);
   return true;
 }
 

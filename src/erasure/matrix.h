@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,9 @@ class Matrix {
   const uint8_t* row(int r) const {
     return data_.data() + static_cast<size_t>(r) * cols_;
   }
+
+  // Every element, row-major: the coefficient layout of gf::mul_add_rows.
+  std::span<const uint8_t> elements() const { return data_; }
 
   Matrix multiply(const Matrix& rhs) const;
 

@@ -31,43 +31,6 @@ Matrix make_generator(int n, int k, Construction construction) {
   return v.multiply(head_inv);
 }
 
-// dst[j] = sum_i coeff[row][i] * src[i], applied blockwise: each output row
-// is one multi-source kernel sweep, so the destination stays register/cache
-// resident while every source streams through once.
-void apply_rows(const Matrix& coeffs, const std::vector<BlockView>& src,
-                const std::vector<MutBlockView>& dst) {
-  assert(static_cast<size_t>(coeffs.rows()) == dst.size());
-  assert(static_cast<size_t>(coeffs.cols()) == src.size());
-  std::vector<const uint8_t*> srcs(src.size());
-  std::vector<uint8_t> row(src.size());
-  for (size_t c = 0; c < src.size(); ++c) srcs[c] = src[c].data();
-  for (int r = 0; r < coeffs.rows(); ++r) {
-    MutBlockView out = dst[static_cast<size_t>(r)];
-    for (int c = 0; c < coeffs.cols(); ++c) {
-      assert(src[static_cast<size_t>(c)].size() == out.size());
-      row[static_cast<size_t>(c)] = coeffs.at(r, c);
-    }
-    gf::mul_add_multi(srcs, row, out, /*accumulate=*/false);
-  }
-}
-
-// Windowed views of each block: bytes [offset, offset + len).
-std::vector<BlockView> sub_views(const std::vector<BlockView>& views,
-                                 size_t offset, size_t len) {
-  std::vector<BlockView> out;
-  out.reserve(views.size());
-  for (const BlockView v : views) out.push_back(v.subspan(offset, len));
-  return out;
-}
-
-std::vector<MutBlockView> sub_views(const std::vector<MutBlockView>& views,
-                                    size_t offset, size_t len) {
-  std::vector<MutBlockView> out;
-  out.reserve(views.size());
-  for (const MutBlockView v : views) out.push_back(v.subspan(offset, len));
-  return out;
-}
-
 }  // namespace
 
 RSCode::RSCode(int n, int k, Construction construction)
@@ -92,8 +55,8 @@ void RSCode::encode_chunk(const std::vector<BlockView>& data,
                           size_t offset, size_t len) const {
   assert(static_cast<int>(data.size()) == k_);
   assert(static_cast<int>(parity.size()) == m());
-  apply_rows(parity_coeffs_, sub_views(data, offset, len),
-             sub_views(parity, offset, len));
+  gf::mul_add_rows(window(parity, offset, len), window(data, offset, len),
+                   parity_coeffs_.elements(), len, /*accumulate=*/false);
 }
 
 bool RSCode::plan_reconstruct(const std::vector<int>& available_ids,
@@ -127,8 +90,10 @@ void RSCode::decode_chunk(const Matrix& coeffs,
                           const std::vector<BlockView>& available,
                           const std::vector<MutBlockView>& out,
                           size_t offset, size_t len) {
-  apply_rows(coeffs, sub_views(available, offset, len),
-             sub_views(out, offset, len));
+  assert(static_cast<size_t>(coeffs.rows()) == out.size());
+  assert(static_cast<size_t>(coeffs.cols()) == available.size());
+  gf::mul_add_rows(window(out, offset, len), window(available, offset, len),
+                   coeffs.elements(), len, /*accumulate=*/false);
 }
 
 bool RSCode::reconstruct(const std::vector<int>& available_ids,

@@ -27,6 +27,17 @@ namespace ear::erasure {
 using BlockView = std::span<const uint8_t>;
 using MutBlockView = std::span<uint8_t>;
 
+// Bytes [offset, offset + len) of every block, as the pointer list
+// gf::mul_add_rows takes.
+template <typename View>
+std::vector<typename View::pointer> window(const std::vector<View>& views,
+                                           size_t offset, size_t len) {
+  std::vector<typename View::pointer> out;
+  out.reserve(views.size());
+  for (const View v : views) out.push_back(v.subspan(offset, len).data());
+  return out;
+}
+
 enum class Construction { kVandermonde, kCauchy };
 
 class RSCode {

@@ -10,11 +10,13 @@
 // matrix inversion and plan construction need them at compile time and on
 // one byte at a time, where SIMD buys nothing.
 //
-// The bulk kernels (`mul_add`, `mul_assign`, `xor_add`, `mul_add_multi`)
-// dispatch through a per-ISA function table selected once at startup (see
-// kernel.h): a scalar low/high-nibble split-table reference, and SSSE3 /
-// AVX2 / NEON shuffle kernels that apply the same 16-entry nibble tables
-// with PSHUFB/VPSHUFB/TBL, 32–64 bytes per iteration.  Every kernel is
+// The bulk kernels (`mul_add`, `mul_assign`, `xor_add`, `mul_add_multi`,
+// `mul_add_rows`) dispatch through a per-ISA function table selected once
+// at startup (see kernel.h): a scalar low/high-nibble split-table
+// reference, SSSE3 / AVX2 / NEON shuffle kernels that apply the same
+// 16-entry nibble tables with PSHUFB/VPSHUFB/TBL, 32–64 bytes per
+// iteration, and a GFNI kernel that applies each coefficient as an 8x8 bit
+// matrix with VGF2P8AFFINEQB, 64 bytes per instruction.  Every kernel is
 // bit-compatible with the scalar field for all coefficients, lengths and
 // alignments (enforced exhaustively by tests/gf256_kernel_test.cc); the
 // `EAR_GF_KERNEL` environment variable pins a specific kernel for tests
@@ -122,5 +124,18 @@ void xor_add(std::span<const uint8_t> src, std::span<uint8_t> dst);
 void mul_add_multi(std::span<const uint8_t* const> srcs,
                    std::span<const uint8_t> coeffs, std::span<uint8_t> dst,
                    bool accumulate);
+
+// Every row of a coefficient matrix at once: for r < dsts.size(),
+//   dsts[r][0, n) = (accumulate ? dsts[r] : 0) XOR sum_j
+//                   coeffs[r * srcs.size() + j] * srcs[j][0, n)
+// with `coeffs` dsts.size() x srcs.size(), row-major.  The encoder and
+// decoder behind RS and LRC: the kernel walks the columns in fixed tiles and
+// finishes every row of a tile before the next, so each source is read from
+// memory once for all rows (with the gfni kernel, one load of a source
+// vector feeds up to four rows).  Zero coefficients contribute nothing;
+// every pointer must cover n bytes and no source may alias a destination.
+void mul_add_rows(std::span<uint8_t* const> dsts,
+                  std::span<const uint8_t* const> srcs,
+                  std::span<const uint8_t> coeffs, size_t n, bool accumulate);
 
 }  // namespace ear::gf

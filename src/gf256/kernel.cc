@@ -1,5 +1,6 @@
 #include "gf256/kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -58,10 +59,6 @@ void scalar_mul_assign(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] = table.apply(src[i]);
 }
 
-}  // namespace detail
-
-namespace {
-
 // Scalar multi-source sweep: first live term assigns, the rest accumulate.
 // Every kernel's mul_add_multi must match this bytewise.
 void scalar_mul_add_multi(uint8_t* dst, const uint8_t* const* srcs,
@@ -72,18 +69,41 @@ void scalar_mul_add_multi(uint8_t* dst, const uint8_t* const* srcs,
   for (size_t j = 0; j < nsrc; ++j) {
     if (coeffs[j] == 0) continue;
     if (first) {
-      detail::scalar_mul_assign(coeffs[j], srcs[j], dst, n);
+      scalar_mul_assign(coeffs[j], srcs[j], dst, n);
       first = false;
     } else {
-      detail::scalar_mul_add(coeffs[j], srcs[j], dst, n);
+      scalar_mul_add(coeffs[j], srcs[j], dst, n);
     }
   }
   if (first) std::memset(dst, 0, n);
 }
 
+void tiled_mul_add_rows(MulAddMultiFn multi, uint8_t* const* dsts,
+                        size_t ndst, const uint8_t* const* srcs,
+                        const uint8_t* coeffs, size_t nsrc, size_t n,
+                        bool accumulate) {
+  std::vector<const uint8_t*> tile_srcs(nsrc);
+  for (size_t t = 0; t < n; t += kRowsTile) {
+    const size_t len = std::min(kRowsTile, n - t);
+    for (size_t j = 0; j < nsrc; ++j) tile_srcs[j] = srcs[j] + t;
+    for (size_t r = 0; r < ndst; ++r) {
+      multi(dsts[r] + t, tile_srcs.data(), coeffs + r * nsrc, nsrc, len,
+            accumulate);
+    }
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
 constexpr GfKernel kScalarKernel = {
-    "scalar",          detail::scalar_mul_add, detail::scalar_mul_assign,
-    detail::scalar_xor_add, scalar_mul_add_multi,
+    "scalar",
+    detail::scalar_mul_add,
+    detail::scalar_mul_assign,
+    detail::scalar_xor_add,
+    detail::scalar_mul_add_multi,
+    detail::mul_add_rows_via<detail::scalar_mul_add_multi>,
 };
 
 std::atomic<const GfKernel*> g_override{nullptr};
@@ -91,10 +111,12 @@ std::atomic<const GfKernel*> g_override{nullptr};
 }  // namespace
 
 #if defined(EAR_GF_X86)
-// Defined in kernel_ssse3.cc / kernel_avx2.cc (compiled with -mssse3/-mavx2;
-// only ever called after __builtin_cpu_supports says the ISA is present).
+// Defined in kernel_ssse3.cc / kernel_avx2.cc / kernel_gfni.cc (compiled
+// with -mssse3 / -mavx2 / -mgfni -mavx512f -mavx512bw; only ever called
+// after __builtin_cpu_supports says the ISA is present).
 extern const GfKernel kSsse3Kernel;
 extern const GfKernel kAvx2Kernel;
+extern const GfKernel kGfniKernel;
 #endif
 #if defined(EAR_GF_NEON)
 extern const GfKernel kNeonKernel;  // kernel_neon.cc; NEON is baseline on
@@ -104,6 +126,9 @@ extern const GfKernel kNeonKernel;  // kernel_neon.cc; NEON is baseline on
 std::vector<const GfKernel*> compiled_kernels() {
   std::vector<const GfKernel*> out;
 #if defined(EAR_GF_X86)
+  if (__builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx512bw")) {
+    out.push_back(&kGfniKernel);
+  }
   if (__builtin_cpu_supports("avx2")) out.push_back(&kAvx2Kernel);
   if (__builtin_cpu_supports("ssse3")) out.push_back(&kSsse3Kernel);
 #endif

@@ -3,15 +3,16 @@
 // The scalar field (`mul`, `inv`, log/exp tables in gf256.h) is the single
 // source of truth; every kernel here is an alternative *implementation* of
 // the same bulk operations, required to be byte-identical to the scalar
-// reference for all inputs (DESIGN.md invariant 10).  The SIMD variants use
-// the ISA-L shuffle idiom: a per-coefficient pair of 16-entry nibble tables
+// reference for all inputs (DESIGN.md invariant 10).  The shuffle variants
+// use the ISA-L idiom: a per-coefficient pair of 16-entry nibble tables
 // applied with PSHUFB/VPSHUFB (x86) or TBL (NEON), so one vector op computes
-// 16/32 products.
+// 16/32 products.  The `gfni` kernel instead applies each coefficient as an
+// 8x8 bit matrix with one VGF2P8AFFINEQB per 64 bytes (AVX-512BW + GFNI).
 //
 // Selection happens once, on the first call to `kernel()`:
 //   * `EAR_GF_KERNEL=auto` (or unset): the widest kernel the CPU supports
-//     (avx2 > ssse3 > neon > scalar).
-//   * `EAR_GF_KERNEL=scalar|ssse3|avx2|neon`: that kernel, or a loud
+//     (gfni > avx2 > ssse3 > neon > scalar).
+//   * `EAR_GF_KERNEL=scalar|ssse3|avx2|gfni|neon`: that kernel, or a loud
 //     std::runtime_error naming the supported values if it is unknown or not
 //     available on this CPU (mirrors the checkpoint version-error style).
 // Tests switch kernels in-process with `KernelOverride`.
@@ -32,7 +33,14 @@ namespace ear::gf {
 //                  srcs[j][i], zero coefficients skipped.  One sweep over
 //                  dst replaces nsrc separate mul_add passes, so dst traffic
 //                  stays resident while every source streams through once.
-// Sources must not alias dst. Zero-length calls are no-ops.
+//   mul_add_rows:  for every row r < ndst, dsts[r][i] = (accumulate ?
+//                  dsts[r][i] : 0) ^ XOR_j coeffs[r * nsrc + j] * srcs[j][i]
+//                  (coeffs is ndst x nsrc, row-major).  The columns are
+//                  walked in fixed tiles (kRowsTile bytes) and every row of
+//                  a tile is finished before the next tile starts, so the
+//                  sources are read from memory once for all rows instead of
+//                  once per row.
+// Sources must not alias any destination. Zero-length calls are no-ops.
 struct GfKernel {
   const char* name;
   void (*mul_add)(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
@@ -41,7 +49,15 @@ struct GfKernel {
   void (*mul_add_multi)(uint8_t* dst, const uint8_t* const* srcs,
                         const uint8_t* coeffs, size_t nsrc, size_t n,
                         bool accumulate);
+  void (*mul_add_rows)(uint8_t* const* dsts, size_t ndst,
+                       const uint8_t* const* srcs, const uint8_t* coeffs,
+                       size_t nsrc, size_t n, bool accumulate);
 };
+
+// Column tile of mul_add_rows: the sources' bytes of one tile stay cache
+// resident while every row consumes them.  Picked by a 4-64 KiB sweep over
+// k = 10 sources at 1 MiB (EXPERIMENTS.md, "One pass over the sources").
+inline constexpr size_t kRowsTile = 32 * 1024;
 
 // The active kernel. First call resolves EAR_GF_KERNEL (function-local
 // static, so concurrent first touches are race-free); later calls are an
@@ -87,6 +103,27 @@ NibbleTables make_nibble_tables(uint8_t c);
 void scalar_mul_add(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
 void scalar_mul_assign(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
 void scalar_xor_add(const uint8_t* src, uint8_t* dst, size_t n);
+void scalar_mul_add_multi(uint8_t* dst, const uint8_t* const* srcs,
+                          const uint8_t* coeffs, size_t nsrc, size_t n,
+                          bool accumulate);
+
+// The shared mul_add_rows of the shuffle kernels: one `multi` sweep per row
+// and tile, rows innermost, so a tile's sources are re-read from cache
+// rather than memory.  `mul_add_rows_via<f>` gives it the GfKernel
+// signature.
+using MulAddMultiFn = void (*)(uint8_t*, const uint8_t* const*,
+                               const uint8_t*, size_t, size_t, bool);
+void tiled_mul_add_rows(MulAddMultiFn multi, uint8_t* const* dsts,
+                        size_t ndst, const uint8_t* const* srcs,
+                        const uint8_t* coeffs, size_t nsrc, size_t n,
+                        bool accumulate);
+
+template <MulAddMultiFn Multi>
+void mul_add_rows_via(uint8_t* const* dsts, size_t ndst,
+                      const uint8_t* const* srcs, const uint8_t* coeffs,
+                      size_t nsrc, size_t n, bool accumulate) {
+  tiled_mul_add_rows(Multi, dsts, ndst, srcs, coeffs, nsrc, n, accumulate);
+}
 
 }  // namespace detail
 

@@ -238,11 +238,11 @@ EncodePlan EncodingAwareReplication::plan_encoding(const StripeInfo& s) {
   EncodePlan plan;
   plan.stripe = s.id;
   // The encoder runs inside the core rack (§III-A); all k first replicas
-  // live there, so no data block crosses racks.
+  // are placed there, so no data block crosses racks — unless a core-rack
+  // copy was lost and re-made elsewhere before the stripe was encoded.
   plan.encoder = random_node_in_rack(*topo_, s.core_rack, rng_);
   plan.cross_rack_downloads =
       count_cross_rack_downloads(*topo_, plan.encoder, s.replicas);
-  assert(plan.cross_rack_downloads == 0);
 
   // Kept replicas come from the maximum matching (§III-B).  The placement
   // loop guaranteed the matching exists for stripes it assembled; a stripe

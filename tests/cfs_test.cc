@@ -367,5 +367,102 @@ TEST(MiniCfs, TestbedModeTwoWayReplicationOnSingleNodeRacks) {
   }
 }
 
+// Encoding plans from every copy the cluster holds now, not only the
+// placement-time replica sets.  Each case starts from one stripe written
+// from node 0, so the cluster holds no other block; by default RS(6,4) on
+// 8 racks x 3 nodes at r = 3.
+struct OneStripe {
+  explicit OneStripe(bool use_ear)
+      : OneStripe(small_config(use_ear, /*n=*/6, /*k=*/4, /*racks=*/8,
+                               /*nodes_per_rack=*/3)) {}
+
+  explicit OneStripe(const CfsConfig& config) : cfg(config) {
+    cfs = make_cfs(cfg);
+    Rng rng(23);
+    while (cfs->sealed_stripes().empty()) {
+      auto data = random_block(cfg, rng);
+      const BlockId id = cfs->write_block(data, NodeId{0});
+      originals[id] = std::move(data);
+    }
+    stripe = cfs->sealed_stripes()[0];
+  }
+
+  int64_t stored_copies() const {
+    int64_t total = 0;
+    for (NodeId n = 0; n < cfg.racks * cfg.nodes_per_rack; ++n) {
+      total += cfs->blocks_stored_on(n);
+    }
+    return total;
+  }
+
+  void expect_encoded_and_intact() {
+    cfs->revive_all();
+    ASSERT_TRUE(cfs->is_encoded(stripe));
+    const StripeMeta meta = cfs->stripe_meta(stripe);
+    for (const BlockId b : meta.data_blocks) {
+      EXPECT_EQ(cfs->block_locations(b).size(), 1u) << "block " << b;
+      EXPECT_EQ(cfs->read_block(b, 0), originals.at(b)) << "block " << b;
+    }
+    // Exactly one copy of each of the n blocks is left in any store.
+    EXPECT_EQ(stored_copies(), cfg.placement.code.n);
+  }
+
+  CfsConfig cfg;
+  std::unique_ptr<MiniCfs> cfs;
+  std::map<BlockId, std::vector<uint8_t>> originals;
+  StripeId stripe = kInvalidStripe;
+};
+
+TEST(MiniCfs, EncodeDeletesReplicasReMadeBeforeEncoding) {
+  for (const bool use_ear : {true, false}) {
+    SCOPED_TRACE(use_ear ? "EAR" : "RR");
+    OneStripe s(use_ear);
+    ASSERT_EQ(s.originals.size(), 4u);
+    const BlockId b0 = s.cfs->stripe_meta(s.stripe).data_blocks[0];
+    s.cfs->kill_node(s.cfs->block_locations(b0).back());
+    EXPECT_GT(s.cfs->restore_redundancy().re_replicated, 0);
+    s.cfs->revive_all();  // the dead node comes back holding a stale copy
+    s.cfs->encode_stripe(s.stripe);
+    s.expect_encoded_and_intact();
+  }
+}
+
+TEST(MiniCfs, EncodeReadsAReMadeCopyWhenPlacedReplicasAreDead) {
+  for (const bool use_ear : {true, false}) {
+    SCOPED_TRACE(use_ear ? "EAR" : "RR");
+    OneStripe s(use_ear);
+    const BlockId b0 = s.cfs->stripe_meta(s.stripe).data_blocks[0];
+    const std::vector<NodeId> placed = s.cfs->block_locations(b0);
+    s.cfs->kill_node(placed.back());
+    s.cfs->restore_redundancy();
+    for (const NodeId n : placed) s.cfs->kill_node(n);
+    // Every placement-time replica of b0 is down; the re-made copy is not.
+    const std::vector<NodeId> now = s.cfs->block_locations(b0);
+    ASSERT_TRUE(std::any_of(now.begin(), now.end(), [&](NodeId n) {
+      return s.cfs->node_alive(n);
+    }));
+    s.cfs->encode_stripe(s.stripe);
+    s.expect_encoded_and_intact();
+  }
+}
+
+// The core rack holds every first replica; losing it and repairing leaves
+// each block's copies in its one other rack plus a re-made one.  The
+// revived rack's copies are unlisted but still stored, and EAR's kept-
+// replica matching needs them as candidates to spread 10 blocks over 10
+// racks.
+TEST(MiniCfs, EncodeAfterCoreRackLossAndRepairUsesRevivedCopies) {
+  CfsConfig cfg = small_config(/*use_ear=*/true, /*n=*/14, /*k=*/10,
+                               /*racks=*/16, /*nodes_per_rack=*/4);
+  cfg.placement.one_replica_per_rack = false;
+  OneStripe s(cfg);
+  ASSERT_EQ(s.originals.size(), 10u);
+  s.cfs->kill_rack(0);
+  EXPECT_GT(s.cfs->restore_redundancy().re_replicated, 0);
+  s.cfs->revive_all();
+  s.cfs->encode_stripe(s.stripe);
+  s.expect_encoded_and_intact();
+}
+
 }  // namespace
 }  // namespace ear::cfs

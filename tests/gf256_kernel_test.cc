@@ -1,6 +1,6 @@
 // Kernel-equivalence layer for the runtime-dispatched GF(2^8) kernels:
-// every compiled kernel (scalar, ssse3, avx2, neon — whatever this build
-// and CPU provide) must be byte-identical to the scalar reference for
+// every compiled kernel (scalar, ssse3, avx2, gfni, neon — whatever this
+// build and CPU provide) must be byte-identical to the scalar reference for
 // every coefficient, the ISSUE-pinned length set, and every src/dst
 // misalignment, plus race-free dispatch init and loud failure on unknown
 // EAR_GF_KERNEL values.  Each TEST runs in its own process (ctest runs
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -282,6 +283,146 @@ TEST(Gf256Kernel, SpanApiMatchesAcrossOverride) {
   {
     KernelOverride force_scalar("scalar");
     mul_add_multi(srcs, coeffs, b, /*accumulate=*/true);
+  }
+  EXPECT_EQ(a, b);
+}
+
+// The sweeps above iterate compiled_kernels(), so they cover gfni exactly
+// when the dispatcher lists it: on a CPU with GFNI and AVX-512BW it must be
+// listed and be what `auto` picks.  Elsewhere the skip names the kernel.
+TEST(Gf256Kernel, GfniKernelListedWhenCpuSupportsIt) {
+  const auto kernels = compiled_kernels();
+  const bool listed =
+      std::any_of(kernels.begin(), kernels.end(), [](const GfKernel* k) {
+        return std::string(k->name) == "gfni";
+      });
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx512bw")) {
+    ASSERT_TRUE(listed);
+    EXPECT_STREQ(resolve_kernel("auto").name, "gfni");
+    return;
+  }
+#endif
+  EXPECT_FALSE(listed);
+  GTEST_SKIP() << "skipped kernel gfni: this CPU lacks GFNI or AVX-512BW";
+}
+
+// Per-row scalar reference of mul_add_rows: each row expanded term by term
+// into a private copy of the destinations.
+void reference_rows(std::vector<std::vector<uint8_t>>& bufs, size_t doff,
+                    const std::vector<const uint8_t*>& srcs,
+                    const std::vector<uint8_t>& coeffs, size_t len,
+                    bool accumulate) {
+  const size_t nsrc = srcs.size();
+  for (size_t r = 0; r < bufs.size(); ++r) {
+    uint8_t* dst = bufs[r].data() + doff;
+    if (!accumulate) std::memset(dst, 0, len);
+    for (size_t j = 0; j < nsrc; ++j) {
+      detail::scalar_mul_add(coeffs[r * nsrc + j], srcs[j], dst, len);
+    }
+  }
+}
+
+// One (ndst, nsrc, len) case on every compiled kernel, both accumulate
+// modes: sources and destinations at odd offsets, every destination
+// compared whole, sentinel bytes before and after its window included.
+void expect_rows_match_reference(size_t ndst, size_t nsrc, size_t len,
+                                 Rng& rng) {
+  constexpr size_t kSlack = 64;
+  std::vector<std::vector<uint8_t>> src_bufs(nsrc);
+  std::vector<const uint8_t*> srcs(nsrc);
+  for (size_t j = 0; j < nsrc; ++j) {
+    const size_t soff = static_cast<size_t>(rng.uniform(kSlack));
+    src_bufs[j].resize(soff + len + kSlack);
+    for (auto& v : src_bufs[j]) v = static_cast<uint8_t>(rng.uniform(256));
+    srcs[j] = src_bufs[j].data() + soff;
+  }
+  std::vector<uint8_t> coeffs(ndst * nsrc);
+  for (auto& c : coeffs) {
+    const int draw = rng.uniform(8);  // zeros and ones mixed in
+    c = draw < 2 ? uint8_t{0}
+        : draw < 3 ? uint8_t{1}
+                   : static_cast<uint8_t>(rng.uniform(256));
+  }
+  const size_t doff = static_cast<size_t>(rng.uniform(kSlack));
+  std::vector<std::vector<uint8_t>> base(
+      ndst, std::vector<uint8_t>(doff + len + kSlack));
+  for (auto& b : base) {
+    for (auto& v : b) v = static_cast<uint8_t>(rng.uniform(256));
+  }
+  for (const bool accumulate : {false, true}) {
+    std::vector<std::vector<uint8_t>> want = base;
+    reference_rows(want, doff, srcs, coeffs, len, accumulate);
+    for (const GfKernel* k : compiled_kernels()) {
+      std::vector<std::vector<uint8_t>> got = base;
+      std::vector<uint8_t*> dsts(ndst);
+      for (size_t r = 0; r < ndst; ++r) dsts[r] = got[r].data() + doff;
+      k->mul_add_rows(dsts.data(), ndst, srcs.data(), coeffs.data(), nsrc,
+                      len, accumulate);
+      for (size_t r = 0; r < ndst; ++r) {
+        ASSERT_EQ(got[r], want[r])
+            << "kernel=" << k->name << " row=" << r << " ndst=" << ndst
+            << " nsrc=" << nsrc << " len=" << len << " doff=" << doff
+            << " accumulate=" << accumulate;
+      }
+    }
+  }
+}
+
+// mul_add_rows against the per-row scalar reference: every ndst in 1..6
+// with every nsrc in 1..20 at the short lengths (empty, sub-vector,
+// vector +-1), one page-scale length per shape in rotation (a ragged tail
+// inside the first tile, a whole number of vectors, a tail past one tile),
+// and a few shapes at 1 MiB + 7, which crosses many tiles.
+TEST(Gf256Kernel, MulAddRowsMatchesPerRowScalarReference) {
+  Rng rng(151515);
+  constexpr size_t kShort[] = {0, 1, 63, 64, 65};
+  constexpr size_t kPage[] = {4095, 4096, 16385};
+  size_t turn = 0;
+  for (size_t ndst = 1; ndst <= 6; ++ndst) {
+    for (size_t nsrc = 1; nsrc <= 20; ++nsrc) {
+      for (const size_t len : kShort) {
+        expect_rows_match_reference(ndst, nsrc, len, rng);
+        if (HasFatalFailure()) return;
+      }
+      expect_rows_match_reference(ndst, nsrc, kPage[turn++ % 3], rng);
+      if (HasFatalFailure()) return;
+    }
+  }
+  constexpr size_t kLarge = (size_t{1} << 20) + 7;
+  for (const auto& [ndst, nsrc] : {std::pair<size_t, size_t>{4, 10},
+                                   {6, 20},
+                                   {1, 3},
+                                   {5, 7}}) {
+    expect_rows_match_reference(ndst, nsrc, kLarge, rng);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The span wrapper routes through the active kernel: the dispatched default
+// and a scalar override give the same rows.
+TEST(Gf256Kernel, MulAddRowsSpanApiMatchesAcrossOverride) {
+  Rng rng(31);
+  constexpr size_t kLen = 3000;
+  std::vector<std::vector<uint8_t>> src(10, std::vector<uint8_t>(kLen));
+  for (auto& s : src) {
+    for (auto& v : s) v = static_cast<uint8_t>(rng.uniform(256));
+  }
+  std::vector<const uint8_t*> srcs;
+  for (const auto& s : src) srcs.push_back(s.data());
+  std::vector<uint8_t> coeffs(4 * 10);
+  for (auto& c : coeffs) c = static_cast<uint8_t>(rng.uniform(256));
+
+  std::vector<std::vector<uint8_t>> a(4, std::vector<uint8_t>(kLen)), b = a;
+  const auto run = [&](std::vector<std::vector<uint8_t>>& out) {
+    std::vector<uint8_t*> dsts;
+    for (auto& o : out) dsts.push_back(o.data());
+    mul_add_rows(dsts, srcs, coeffs, kLen, /*accumulate=*/false);
+  };
+  run(a);
+  {
+    KernelOverride force_scalar("scalar");
+    run(b);
   }
   EXPECT_EQ(a, b);
 }
